@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
 """Seeded contended-interconnect identity fuzz.
 
-Three properties, each over random cells of the feature grid (workload,
+Two properties, each over random cells of the feature grid (workload,
 protocol, leases, faults, core count, op count, network spec):
 
 1. **Infinite-spec identity** -- a machine configured with
    ``network.spec="infinite"`` must be bit-identical (field-for-field
    ``RunResult``, same ``events_processed``, same final cycle) to the
    spec-less build: the default path must not grow queues.
-2. **Engine identity under contention** -- with a finite-bandwidth spec,
-   the fast (TimeWheel) and compat (heap) engines must still agree bit
-   for bit: the batch-fold gate has to treat a non-empty link queue like
-   a pending probe.
-3. **Checkpoint roundtrip through saturated links** -- snapshot mid-run
+2. **Checkpoint roundtrip through saturated links** -- snapshot mid-run
    (with messages parked in link/port queues), restore into a fresh
    machine, run both plus an uninterrupted control to completion:
    all three RunResults must match field for field.
@@ -80,12 +76,11 @@ def draw_cell(rng: random.Random) -> dict:
     }
 
 
-def build_machine(cell: dict, engine: str, spec: str) -> Machine:
+def build_machine(cell: dict, spec: str) -> Machine:
     cfg = MachineConfig(num_cores=cell["threads"],
                         protocol=cell["protocol"],
                         fault_spec=cell["faults"],
-                        seed=cell["machine_seed"],
-                        engine=engine)
+                        seed=cell["machine_seed"])
     cfg = cfg.with_leases(cell["leases"])
     cfg = replace(cfg, network=replace(cfg.network, spec=spec))
     m = Machine(cfg)
@@ -115,41 +110,31 @@ def _dump(artifact_dir: str, name: str, payload: dict) -> str:
 
 
 def run_identity_round(i: int, cell: dict, artifact_dir: str) -> bool:
-    ok = True
-    # 1. infinite spec == no spec (link_degrade only bites on a
-    #    contended build, so keep the fault spec out of this leg).
+    # infinite spec == no spec (link_degrade only bites on a contended
+    # build, so keep the fault spec out of this leg).
     plain_cell = dict(cell, faults="")
-    plain = _run(build_machine(plain_cell, "fast", ""))
-    inf = _run(build_machine(plain_cell, "fast", "infinite"))
-    if plain != inf:
-        path = _dump(artifact_dir, f"infinite-identity-{i}.json",
-                     {"cell": plain_cell, "plain": plain, "infinite": inf})
-        print(f"INFINITE-SPEC DIVERGENCE round {i}: {cell} "
-              f"(dump: {path})", file=sys.stderr)
-        ok = False
-    # 2. fast == compat under the contended spec.
-    fast = _run(build_machine(cell, "fast", cell["net"]))
-    compat = _run(build_machine(cell, "compat", cell["net"]))
-    if fast != compat:
-        path = _dump(artifact_dir, f"engine-identity-{i}.json",
-                     {"cell": cell, "fast": fast, "compat": compat})
-        print(f"ENGINE DIVERGENCE round {i}: {cell} (dump: {path})",
-              file=sys.stderr)
-        ok = False
-    return ok
+    plain = _run(build_machine(plain_cell, ""))
+    inf = _run(build_machine(plain_cell, "infinite"))
+    if plain == inf:
+        return True
+    path = _dump(artifact_dir, f"infinite-identity-{i}.json",
+                 {"cell": plain_cell, "plain": plain, "infinite": inf})
+    print(f"INFINITE-SPEC DIVERGENCE round {i}: {cell} (dump: {path})",
+          file=sys.stderr)
+    return False
 
 
 def run_ckpt_round(i: int, cell: dict, artifact_dir: str) -> bool:
-    m1 = build_machine(cell, "fast", cell["net"])
+    m1 = build_machine(cell, cell["net"])
     m1.enable_checkpointing()
     m1.run(until=cell["cut"])
     state = json.loads(json.dumps(m1.state_dict()))
 
-    m2 = build_machine(cell, "fast", cell["net"])
+    m2 = build_machine(cell, cell["net"])
     m2.load_state(state)
     m1.run()
     m2.run()
-    m3 = build_machine(cell, "fast", cell["net"])
+    m3 = build_machine(cell, cell["net"])
     m3.run()
 
     r1 = dataclasses.asdict(m1.result("identity"))

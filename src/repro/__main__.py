@@ -40,11 +40,8 @@ simulated machine (and thereby every workload RNG) for the whole sweep.
 semicolon-separated fault-injection spec (see :mod:`repro.faults`), e.g.
 ``"net_jitter:p=0.01,max=200;dir_nack:p=0.005;timer_skew:±8"``.  Faults
 are deterministic per seed: the same seed + spec replays byte-identically,
-serial or under ``--jobs``.  ``run``/``check``/``bench`` accept
-``--engine {fast,compat}`` to pick the run-loop engine (default ``fast``;
-results are bit-identical either way -- see DESIGN.md "Engine fast
-path"); the choice is recorded in bench records and repro files.
-``run``/``check``/``bench`` also accept ``--traffic SPEC``, an open-loop
+serial or under ``--jobs``.
+``run``/``check``/``bench`` accept ``--traffic SPEC``, an open-loop
 arrival spec (see :mod:`repro.traffic`), e.g.
 ``"poisson:rate=2.0,zipf:s=1.2,tenants=2,slo:p99=8000"``: workers pull
 admitted arrivals instead of self-pacing, ``run`` prints tail-latency
@@ -180,14 +177,6 @@ def _parse_cluster_spec(spec: str) -> str:
     return spec
 
 
-def _parse_engine(spec: str) -> str:
-    """Validate an ``--engine`` choice."""
-    if spec not in ("fast", "compat"):
-        raise _CliError(f"--engine: unknown engine {spec!r} "
-                        "(choose from: fast, compat)")
-    return spec
-
-
 def _parse_faults(spec: str) -> str:
     """Validate a ``--faults`` spec string (grammar only; per-machine
     range checks like slow-core ids happen in MachineConfig.validate)."""
@@ -259,8 +248,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["faults"] = _parse_faults(args.faults)
     if args.network:
         overrides["network"] = _parse_network(args.network)
-    if args.engine != "fast":
-        overrides["engine"] = _parse_engine(args.engine)
     if args.traffic:
         import inspect
 
@@ -525,7 +512,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise _CliError(f"--budget: {args.budget} is not a positive "
                         "schedule count")
-    engine = _parse_engine(args.engine)
 
     if args.target in ("cluster_lease", "cluster"):
         if args.faults:
@@ -555,7 +541,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 budget=args.budget, seed=seed, nodes=nodes,
                 cluster_spec=spec, quorum=quorum,
                 structure=args.structure, shrink=not args.no_shrink,
-                engine=engine, progress=lambda msg: print(f"  {msg}"))
+                progress=lambda msg: print(f"  {msg}"))
         except ReproError as err:
             raise _CliError(str(err)) from None
         return _report_campaign(report, args.save)
@@ -569,8 +555,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         report = run_campaign(args.target, budget=args.budget, seed=seed,
                               shrink=not args.no_shrink,
-                              fault_spec=faults, engine=engine,
-                              traffic=traffic,
+                              fault_spec=faults, traffic=traffic,
                               progress=lambda msg: print(f"  {msg}"))
     except ReproError as err:
         raise _CliError(str(err)) from None
@@ -621,7 +606,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     jobs = _parse_jobs(args.jobs)
     seed = _parse_seed(args.seed) if args.seed is not None else None
     fault_spec = _parse_faults(args.faults) if args.faults else ""
-    engine = _parse_engine(args.engine)
     traffic = _parse_traffic(args.traffic) if args.traffic else ""
     if args.repeats < 1:
         raise _CliError(f"--repeats: {args.repeats} is not a positive "
@@ -647,8 +631,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     extras = f", faults={fault_spec!r}" if fault_spec else ""
     if seed is not None:
         extras += f", seed={seed}"
-    if engine != "fast":
-        extras += f", engine={engine}"
     if traffic:
         extras += f", traffic={traffic!r}"
     print(f"bench ({mode}, repeats={args.repeats}, jobs={jobs}{extras}): "
@@ -657,7 +639,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         results = bench.run_many(names, quick=args.quick, jobs=jobs,
                                  repeats=args.repeats,
                                  fault_spec=fault_spec, seed=seed,
-                                 engine=engine, traffic=traffic)
+                                 traffic=traffic)
     except ConfigError as err:
         raise _CliError(f"bench: {err}") from None
     for name in names:
@@ -745,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'link:bw=2,queue=16;arb:wrr,weights=2:1;"
                             "port:dir=2,mem=4'; 'infinite' (the default) "
                             "keeps the contention-free analytic model")
-    run_p.add_argument("--engine", default="fast", metavar="ENGINE",
-                       help="run-loop engine: 'fast' (time-wheel + "
-                            "batching, the default) or 'compat' (classic "
-                            "heap); results are bit-identical either way")
     run_p.add_argument("--traffic", default=None, metavar="SPEC",
                        help="open-loop arrival spec, e.g. "
                             "'poisson:rate=2.0,zipf:s=1.2,tenants=2,"
@@ -830,10 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fuzz schedules under this fault spec; the "
                               "spec is recorded in repro files so replay "
                               "reproduces the same faults")
-    check_p.add_argument("--engine", default="fast", metavar="ENGINE",
-                         help="run-loop engine recorded in repro files "
-                              "('fast' or 'compat'); perturbed schedules "
-                              "force the compat loop transparently")
     check_p.add_argument("--traffic", default=None, metavar="SPEC",
                          help="fuzz the open-loop workload variant under "
                               "this arrival spec (targets: counter, "
@@ -896,10 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the machine-building targets under "
                               "this fault spec (don't gate faulty runs "
                               "against a fault-free baseline)")
-    bench_p.add_argument("--engine", default="fast", metavar="ENGINE",
-                         help="run-loop engine for the machine-building "
-                              "targets ('fast' or 'compat'); recorded in "
-                              "the bench records")
     bench_p.add_argument("--traffic", default=None, metavar="SPEC",
                          help="override the arrival spec of open-loop "
                               "targets (tail_latency)")

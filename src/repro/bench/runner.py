@@ -87,16 +87,13 @@ def machine_fingerprint() -> dict:
 
 def run_target(name: str, *, quick: bool = False, repeats: int = 3,
                fault_spec: str = "", seed: int | None = None,
-               engine: str = "fast", traffic: str = "") -> dict:
+               traffic: str = "") -> dict:
     """Run one bench target through the full protocol; returns its record.
 
     ``fault_spec`` threads a fault-injection spec into the machine-building
     targets (pure-scheduler targets ignore it); faulty records carry the
     spec so they are never mistaken for clean baselines.  ``seed`` reseeds
     the simulated machines the same way and is recorded alongside.
-    ``engine`` picks the run-loop engine those machines use (results are
-    bit-identical either way; wall-clock is not) and is recorded so
-    compat-engine timings are never mistaken for fast-engine baselines.
     ``traffic`` overrides the arrival spec of open-loop targets (only
     ``tail_latency`` takes one; naming it elsewhere is a ConfigError)."""
     import inspect
@@ -115,13 +112,13 @@ def run_target(name: str, *, quick: bool = False, repeats: int = 3,
     report: dict = {}
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        report = target.fn(quick, fault_spec, seed, engine, **extra_kw)
+        report = target.fn(quick, fault_spec, seed, **extra_kw)
         wall = report.get("wall_seconds", time.perf_counter() - t0)
         best_wall = min(best_wall, wall)
 
     tracemalloc.start()
     try:
-        target.fn(quick, fault_spec, seed, engine, **extra_kw)
+        target.fn(quick, fault_spec, seed, **extra_kw)
         _, peak_heap = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -147,7 +144,6 @@ def run_target(name: str, *, quick: bool = False, repeats: int = 3,
         "score": round(ops_per_sec / calib, 6) if calib else 0.0,
         "fault_spec": fault_spec,
         "seed": seed,
-        "engine": engine,
         "extra": report.get("extra", {}),
         "machine": machine_fingerprint(),
     }
@@ -155,17 +151,16 @@ def run_target(name: str, *, quick: bool = False, repeats: int = 3,
 
 def _run_target_worker(name: str, quick: bool, repeats: int,
                        fault_spec: str, seed: int | None,
-                       engine: str, traffic: str) -> dict:
+                       traffic: str) -> dict:
     """Module-level wrapper so parallel runs pickle cleanly."""
     return run_target(name, quick=quick, repeats=repeats,
-                      fault_spec=fault_spec, seed=seed, engine=engine,
-                      traffic=traffic)
+                      fault_spec=fault_spec, seed=seed, traffic=traffic)
 
 
 def run_many(names: Sequence[str], *, quick: bool = False, jobs: int = 1,
              repeats: int = 3, fault_spec: str = "",
              seed: int | None = None,
-             engine: str = "fast", traffic: str = "") -> dict[str, dict]:
+             traffic: str = "") -> dict[str, dict]:
     """Run several targets, optionally on worker processes.
 
     Note ``jobs > 1`` trades timing fidelity for wall-clock: concurrent
@@ -180,13 +175,13 @@ def run_many(names: Sequence[str], *, quick: bool = False, jobs: int = 1,
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as ex:
             futs = [ex.submit(_run_target_worker, n, quick, repeats,
-                              fault_spec, seed, engine, traffic)
+                              fault_spec, seed, traffic)
                     for n in names]
             records = [f.result() for f in futs]
     else:
         records = [run_target(n, quick=quick, repeats=repeats,
                               fault_spec=fault_spec, seed=seed,
-                              engine=engine, traffic=traffic)
+                              traffic=traffic)
                    for n in names]
     return {name: rec for name, rec in zip(names, records)}
 

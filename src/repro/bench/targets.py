@@ -1,7 +1,7 @@
 """The microbenchmark targets: one per simulator hot loop.
 
 Each target is a plain function ``fn(quick: bool, fault_spec: str = "",
-seed: int | None = None, engine: str = "fast") -> dict`` that performs
+seed: int | None = None) -> dict`` that performs
 one complete iteration of its workload and reports::
 
     {"ops": <units of work>,            # denominator of ops/sec
@@ -28,9 +28,6 @@ Targets cover the loops that dominate figure-reproduction wall-clock:
   headline ratios;
 * ``trace_fastpath``   -- the counters-only emit hot loop, fast vs slow
   path, asserting bit-identical counters and ``RunResult``;
-* ``engine_fastpath``  -- the run-loop engine A/B (time-wheel + batching
-  vs classic heap), asserting bit-identical ``RunResult`` and event
-  counts;
 * ``fault_degradation`` -- contended Treiber stack throughput under an
   escalating fault-rate grid, reporting simulated-throughput degradation
   relative to the fault-free run;
@@ -38,7 +35,7 @@ Targets cover the loops that dominate figure-reproduction wall-clock:
   (``repro.state``), asserting restored runs stay bit-identical;
 * ``tail_latency``      -- open-loop arrivals into the contended counter
   (``repro.traffic``), asserting latency histograms bit-identical
-  fast-vs-compat and across a mid-run checkpoint/restore cut;
+  across a mid-run checkpoint/restore cut;
 * ``cluster_scale``     -- sharded-counter cluster throughput vs node
   count (``repro.cluster``): N machines under one clock with PaxosLease
   negotiating shard ownership over a mildly lossy network;
@@ -48,10 +45,9 @@ Targets cover the loops that dominate figure-reproduction wall-clock:
 
 ``fault_spec`` threads a :mod:`repro.faults` spec into the targets that
 build a machine; ``seed`` reseeds those machines (CLI ``--seed``, for
-parity with run/trace/check); ``engine`` selects the run-loop engine the
-same way (CLI ``--engine``).  The pure-scheduler targets
-(``event_queue``, ``trace_fastpath``) and the fixed A/B
-(``engine_fastpath``) accept and ignore the selectors that do not apply.
+parity with run/trace/check).  The pure-scheduler targets
+(``event_queue``, ``trace_fastpath``) accept and ignore the selectors that
+do not apply.
 """
 
 from __future__ import annotations
@@ -66,10 +62,9 @@ from ..engine.event_queue import EventQueue
 
 
 def _lease_config(num_cores: int, fault_spec: str = "",
-                  seed: int | None = None, engine: str = "fast",
+                  seed: int | None = None,
                   **lease_kw: Any) -> MachineConfig:
-    cfg = MachineConfig(num_cores=num_cores, fault_spec=fault_spec,
-                        engine=engine)
+    cfg = MachineConfig(num_cores=num_cores, fault_spec=fault_spec)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     return replace(cfg, lease=replace(cfg.lease, enabled=True, **lease_kw))
@@ -80,11 +75,10 @@ def _lease_config(num_cores: int, fault_spec: str = "",
 # ---------------------------------------------------------------------------
 
 def bench_event_queue(quick: bool, fault_spec: str = "",
-                      seed: int | None = None,
-                      engine: str = "fast") -> dict:
+                      seed: int | None = None) -> dict:
     """Schedule/cancel/pop/peek churn on a bare :class:`EventQueue` --
     no machine, pure scheduler cost (``__lt__``, heap ops, compaction).
-    No machine, so ``fault_spec``, ``seed`` and ``engine`` are ignored."""
+    No machine, so ``fault_spec`` and ``seed`` are ignored."""
     n = 30_000 if quick else 150_000
     q = EventQueue()
     fn = lambda: None  # noqa: E731 - payload is irrelevant here
@@ -115,16 +109,14 @@ def bench_event_queue(quick: bool, fault_spec: str = "",
 # ---------------------------------------------------------------------------
 
 def bench_coherence_storm(quick: bool, fault_spec: str = "",
-                          seed: int | None = None,
-                          engine: str = "fast") -> dict:
+                          seed: int | None = None) -> dict:
     """Every core stores to the same line in a tight loop: maximal
     invalidation + directory-queue traffic (the paper's worst case)."""
     from ..core.isa import Store
 
     cores = 4 if quick else 8
     rounds = 150 if quick else 300
-    cfg = MachineConfig(num_cores=cores, fault_spec=fault_spec,
-                        engine=engine)
+    cfg = MachineConfig(num_cores=cores, fault_spec=fault_spec)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     m = Machine(cfg)
@@ -148,15 +140,14 @@ def bench_coherence_storm(quick: bool, fault_spec: str = "",
 # ---------------------------------------------------------------------------
 
 def bench_treiber(quick: bool, fault_spec: str = "",
-                  seed: int | None = None,
-                  engine: str = "fast") -> dict:
+                  seed: int | None = None) -> dict:
     """The paper's headline workload: a contended lease-enabled Treiber
     stack at high thread count."""
     from ..structures import TreiberStack
 
     threads = 8 if quick else 16
     ops_per_thread = 25 if quick else 60
-    m = Machine(_lease_config(threads, fault_spec, seed, engine))
+    m = Machine(_lease_config(threads, fault_spec, seed))
     stack = TreiberStack(m)
     stack.prefill(range(128))
     for _ in range(threads):
@@ -169,15 +160,14 @@ def bench_treiber(quick: bool, fault_spec: str = "",
 
 
 def bench_counter_lock(quick: bool, fault_spec: str = "",
-                       seed: int | None = None,
-                       engine: str = "fast") -> dict:
+                       seed: int | None = None) -> dict:
     """The contended TTS+lease lock-based counter (Figure 3a's biggest
     winner -- and the densest emit stream per simulated cycle)."""
     from ..structures import LockedCounter
 
     threads = 8 if quick else 16
     ops_per_thread = 25 if quick else 60
-    m = Machine(_lease_config(threads, fault_spec, seed, engine))
+    m = Machine(_lease_config(threads, fault_spec, seed))
     counter = LockedCounter(m, lock="tts")
     for _ in range(threads):
         m.add_thread(counter.update_worker, ops_per_thread)
@@ -188,8 +178,7 @@ def bench_counter_lock(quick: bool, fault_spec: str = "",
 
 
 def bench_sweep_cell(quick: bool, fault_spec: str = "",
-                     seed: int | None = None,
-                     engine: str = "fast") -> dict:
+                     seed: int | None = None) -> dict:
     """One full fig2-style sweep cell (base + lease variants at one thread
     count) through the real harness path -- the unit of work every figure
     reproduction repeats dozens of times."""
@@ -199,8 +188,8 @@ def bench_sweep_cell(quick: bool, fault_spec: str = "",
     threads = 4 if quick else 8
     ops_per_thread = 15 if quick else 40
     common: dict[str, Any] = {"ops_per_thread": ops_per_thread}
-    if fault_spec or seed is not None or engine != "fast":
-        cfg = replace(MachineConfig(), fault_spec=fault_spec, engine=engine)
+    if fault_spec or seed is not None:
+        cfg = replace(MachineConfig(), fault_spec=fault_spec)
         if seed is not None:
             cfg = replace(cfg, seed=seed)
         common["config"] = cfg
@@ -213,8 +202,7 @@ def bench_sweep_cell(quick: bool, fault_spec: str = "",
 
 
 def bench_sync_ablation(quick: bool, fault_spec: str = "",
-                        seed: int | None = None,
-                        engine: str = "fast") -> dict:
+                        seed: int | None = None) -> dict:
     """The full contention-management zoo in one record: every
     {policy} x {structure} cell of the ``sync_ablation`` experiment at one
     thread count (18 machine runs through the real workload driver).
@@ -232,8 +220,7 @@ def bench_sync_ablation(quick: bool, fault_spec: str = "",
 
     threads = 4 if quick else 8
     ops_per_thread = 10 if quick else 25
-    cfg = MachineConfig(num_cores=threads, fault_spec=fault_spec,
-                        engine=engine)
+    cfg = MachineConfig(num_cores=threads, fault_spec=fault_spec)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     software = ("cas-backoff", "reciprocating", "mcas-helping")
@@ -275,8 +262,7 @@ _DEGRADATION_GRID: tuple[tuple[str, str], ...] = (
 
 
 def bench_fault_degradation(quick: bool, fault_spec: str = "",
-                            seed: int | None = None,
-                            engine: str = "fast") -> dict:
+                            seed: int | None = None) -> dict:
     """Contended Treiber stack across an escalating fault-rate grid.
 
     Reports each rung's *simulated* throughput relative to the fault-free
@@ -297,7 +283,7 @@ def bench_fault_degradation(quick: bool, fault_spec: str = "",
     base_tput = None
     extra: dict[str, Any] = {}
     for label, spec in grid:
-        m = Machine(replace(_lease_config(threads, seed=seed, engine=engine),
+        m = Machine(replace(_lease_config(threads, seed=seed),
                             fault_spec=spec))
         stack = TreiberStack(m)
         stack.prefill(range(128))
@@ -322,8 +308,7 @@ def bench_fault_degradation(quick: bool, fault_spec: str = "",
 # ---------------------------------------------------------------------------
 
 def bench_snapshot_roundtrip(quick: bool, fault_spec: str = "",
-                             seed: int | None = None,
-                             engine: str = "fast") -> dict:
+                             seed: int | None = None) -> dict:
     """Mid-run ``state_dict`` -> JSON -> ``load_state`` roundtrips on a
     contended Treiber stack, asserting the restored run finishes with a
     :class:`RunResult` identical to an uninterrupted one.
@@ -343,7 +328,7 @@ def bench_snapshot_roundtrip(quick: bool, fault_spec: str = "",
     rounds = 3 if quick else 6
 
     def build() -> Machine:
-        m = Machine(_lease_config(threads, fault_spec, seed, engine))
+        m = Machine(_lease_config(threads, fault_spec, seed))
         m.enable_checkpointing()
         stack = TreiberStack(m)
         stack.prefill(range(64))
@@ -389,20 +374,17 @@ _TAIL_LATENCY_SPEC = ("poisson:rate=3.0,zipf:s=1.1,tenants=2,"
 
 def bench_tail_latency(quick: bool, fault_spec: str = "",
                        seed: int | None = None,
-                       engine: str = "fast",
                        traffic: str = "") -> dict:
     """Open-loop tail latency on the contended counter -- the
     :mod:`repro.traffic` engine's regression guard.
 
-    Runs the same Poisson/Zipf arrival plan on both run-loop engines and
-    asserts the latency *histograms* (not just the percentiles) are
-    bit-identical; then cuts the fast-engine run mid-flight with a
-    ``state_dict`` -> JSON -> ``load_state`` roundtrip and asserts the
-    restored run reproduces the same histogram.  That pair is the
-    determinism contract behind ``RunResult.latency``.  Reports p50/p99/
-    p999, shed fraction and the SLO verdict in ``extra``.  The A/B is
-    fast-vs-compat by construction, so the ``engine`` selector is
-    ignored; ``traffic`` (CLI ``--traffic``) overrides the arrival spec.
+    Runs a Poisson/Zipf arrival plan, then cuts the same run mid-flight
+    with a ``state_dict`` -> JSON -> ``load_state`` roundtrip and asserts
+    the restored run reproduces the latency *histogram* (not just the
+    percentiles) bit for bit -- the determinism contract behind
+    ``RunResult.latency``.  Reports p50/p99/p999, shed fraction and the
+    SLO verdict in ``extra``; ``traffic`` (CLI ``--traffic``) overrides
+    the arrival spec.
     """
     import json as _json
 
@@ -413,8 +395,8 @@ def bench_tail_latency(quick: bool, fault_spec: str = "",
     ops_per_lane = 12 if quick else 30
     spec = traffic or _TAIL_LATENCY_SPEC
 
-    def build(engine_choice: str) -> tuple[Machine, TrafficSource]:
-        m = Machine(_lease_config(threads, fault_spec, seed, engine_choice))
+    def build() -> tuple[Machine, TrafficSource]:
+        m = Machine(_lease_config(threads, fault_spec, seed))
         m.enable_checkpointing()
         counter = LockedCounter(m, lock="tts")
         src = TrafficSource(spec, num_lanes=threads, seed=m.config.seed,
@@ -423,33 +405,23 @@ def bench_tail_latency(quick: bool, fault_spec: str = "",
             m.add_thread(traffic_counter_worker, counter, src.lane(t))
         return m, src
 
-    fast_m, fast_src = build("fast")
-    fast_m.run()
-    compat_m, compat_src = build("compat")
-    compat_m.run()
-    ref_hist = fast_src.histogram()
-    if ref_hist != compat_src.histogram():
-        raise AssertionError(
-            "fast/compat engines produced different latency histograms")
-    if (fast_src.admitted, fast_src.shed) != (compat_src.admitted,
-                                              compat_src.shed):
-        raise AssertionError(
-            "fast/compat engines admitted/shed different arrival counts")
+    ref_m, ref_src = build()
+    ref_m.run()
+    ref_hist = ref_src.histogram()
 
-    cut_m, _ = build("fast")
-    cut_m.run(until=max(1, fast_m.sim.now // 2))
+    cut_m, _ = build()
+    cut_m.run(until=max(1, ref_m.sim.now // 2))
     blob = _json.dumps(cut_m.state_dict())
-    restored_m, restored_src = build("fast")
+    restored_m, restored_src = build()
     restored_m.load_state(_json.loads(blob))
     restored_m.run()
     if restored_src.histogram() != ref_hist:
         raise AssertionError(
             "checkpoint/restore changed the latency histogram")
 
-    summary = fast_src.summary()
-    events = (fast_m.sim.events_processed + compat_m.sim.events_processed
-              + restored_m.sim.events_processed)
-    ops = fast_src.admitted + compat_src.admitted + restored_src.admitted
+    summary = ref_src.summary()
+    events = ref_m.sim.events_processed + restored_m.sim.events_processed
+    ops = ref_src.admitted + restored_src.admitted
     return {
         "ops": ops, "events": events,
         "extra": {
@@ -458,9 +430,8 @@ def bench_tail_latency(quick: bool, fault_spec: str = "",
             "p99": summary.get("p99"),
             "p999": summary.get("p999"),
             "shed_frac": round(summary["shed_frac"], 4),
-            "slo": evaluate_slo(fast_src.spec, ref_hist,
+            "slo": evaluate_slo(ref_src.spec, ref_hist,
                                 summary["shed_frac"]),
-            "hist_identical": True,
             "restore_identical": True,
         },
     }
@@ -477,8 +448,7 @@ _CLUSTER_NODE_COUNTS_FULL = (1, 2, 3, 4, 5)
 
 
 def bench_cluster_scale(quick: bool, fault_spec: str = "",
-                        seed: int | None = None,
-                        engine: str = "fast") -> dict:
+                        seed: int | None = None) -> dict:
     """Sharded-counter cluster throughput vs node count at fixed
     per-node contention (the cluster layer's scaling curve).
 
@@ -498,7 +468,7 @@ def bench_cluster_scale(quick: bool, fault_spec: str = "",
     # wall time: a few-millisecond measurement swings past the CI gate's
     # tolerance on a loaded runner, so aim for a few hundred ms total.
     ops_per_thread = 150 if quick else 300
-    cfg = MachineConfig(fault_spec=fault_spec, engine=engine)
+    cfg = MachineConfig(fault_spec=fault_spec)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     total_ops = 0
@@ -547,12 +517,12 @@ def _emit_mix(bus, iters: int) -> float:
     return time.perf_counter() - t0
 
 
-def _counter_run_result(fast: bool, engine: str = "fast"):
+def _counter_run_result(fast: bool):
     """A small real machine run with the fast path toggled -- the
     byte-identity half of the A/B."""
     from ..structures import LockedCounter
 
-    m = Machine(_lease_config(4, engine=engine))
+    m = Machine(_lease_config(4))
     m.trace.set_fast_path(fast)
     counter = LockedCounter(m, lock="tts")
     for _ in range(4):
@@ -562,8 +532,7 @@ def _counter_run_result(fast: bool, engine: str = "fast"):
 
 
 def bench_trace_fastpath(quick: bool, fault_spec: str = "",
-                         seed: int | None = None,
-                         engine: str = "fast") -> dict:
+                         seed: int | None = None) -> dict:
     """Fast vs slow emit path on the counters-only hot loop (self-timed).
     Pure emit-path A/B with a fixed fault-free machine run, so
     ``fault_spec`` and ``seed`` are ignored.
@@ -587,8 +556,8 @@ def bench_trace_fastpath(quick: bool, fault_spec: str = "",
         raise AssertionError(
             "fast/slow emit paths diverged on the raw counter storm")
 
-    res_fast = _counter_run_result(True, engine)
-    res_slow = _counter_run_result(False, engine)
+    res_fast = _counter_run_result(True)
+    res_slow = _counter_run_result(False)
     if res_fast != res_slow:
         raise AssertionError(
             "fast/slow emit paths produced different RunResults")
@@ -607,75 +576,6 @@ def bench_trace_fastpath(quick: bool, fault_spec: str = "",
 
 
 # ---------------------------------------------------------------------------
-# Engine fast path A/B
-# ---------------------------------------------------------------------------
-
-def _engine_ab_run(engine: str, cores: int, rounds: int, fault_spec: str,
-                   seed: int | None) -> tuple[float, Any, int]:
-    """One coherence-storm run on the chosen engine; returns
-    ``(wall_seconds, RunResult, events_processed)``."""
-    from ..core.isa import Store
-
-    cfg = MachineConfig(num_cores=cores, fault_spec=fault_spec,
-                        engine=engine)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    m = Machine(cfg)
-    addr = m.alloc_var(0, label="engine_ab.line")
-
-    def body(ctx):
-        for i in range(rounds):
-            yield Store(addr, i)
-        ctx.note_op()
-
-    for _ in range(cores):
-        m.add_thread(body)
-    t0 = time.perf_counter()
-    m.run()
-    wall = time.perf_counter() - t0
-    return wall, m.result("engine_ab"), m.sim.events_processed
-
-
-def bench_engine_fastpath(quick: bool, fault_spec: str = "",
-                          seed: int | None = None,
-                          engine: str = "fast") -> dict:
-    """Fast vs compat run-loop engine on the coherence storm (self-timed).
-
-    The two-tier engine's regression guard: runs the identical maximal-
-    contention workload once per engine, asserts the :class:`RunResult`
-    AND the processed-event count are bit-identical (the tentpole's
-    correctness contract), then reports the wall-clock improvement the
-    fast engine buys.  The A/B is fixed fast-vs-compat by construction,
-    so the ``engine`` selector is ignored.
-    """
-    cores = 4 if quick else 8
-    rounds = 150 if quick else 300
-
-    fast_s, res_fast, ev_fast = _engine_ab_run(
-        "fast", cores, rounds, fault_spec, seed)
-    compat_s, res_compat, ev_compat = _engine_ab_run(
-        "compat", cores, rounds, fault_spec, seed)
-    if res_fast != res_compat:
-        raise AssertionError(
-            "fast/compat engines produced different RunResults")
-    if ev_fast != ev_compat:
-        raise AssertionError(
-            f"fast/compat engines processed different event counts "
-            f"({ev_fast} vs {ev_compat})")
-
-    improvement = (1.0 - fast_s / compat_s) * 100.0 if compat_s > 0 else 0.0
-    return {
-        "ops": cores * rounds, "events": ev_fast,
-        "wall_seconds": fast_s,
-        "extra": {
-            "compat_wall_seconds": round(compat_s, 6),
-            "improvement_pct": round(improvement, 1),
-            "run_result_identical": True,
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 # Contended interconnect: lease vs baseline under saturating links
 # ---------------------------------------------------------------------------
 
@@ -686,10 +586,10 @@ _LINK_SAT_SPEC = "link:bw=2,queue=8,flits=4;arb:wrr,weights=2:1;port:dir=2,mem=4
 
 
 def _link_sat_run(lease: bool, threads: int, ops_per_thread: int,
-                  fault_spec: str, seed: int | None, engine: str):
+                  fault_spec: str, seed: int | None):
     from ..structures import LockedCounter
 
-    cfg = _lease_config(threads, fault_spec, seed, engine)
+    cfg = _lease_config(threads, fault_spec, seed)
     cfg = cfg.with_leases(lease)
     cfg = replace(cfg, network=replace(cfg.network, spec=_LINK_SAT_SPEC))
     m = Machine(cfg)
@@ -701,8 +601,7 @@ def _link_sat_run(lease: bool, threads: int, ops_per_thread: int,
 
 
 def bench_link_saturation(quick: bool, fault_spec: str = "",
-                          seed: int | None = None,
-                          engine: str = "fast") -> dict:
+                          seed: int | None = None) -> dict:
     """Lease vs baseline on a saturating hot-cell workload over finite
     links (:mod:`repro.coherence.links`).
 
@@ -717,9 +616,9 @@ def bench_link_saturation(quick: bool, fault_spec: str = "",
     ops_per_thread = 25 if quick else 60
 
     base = _link_sat_run(False, threads, ops_per_thread,
-                         fault_spec, seed, engine)
+                         fault_spec, seed)
     leased = _link_sat_run(True, threads, ops_per_thread,
-                           fault_spec, seed, engine)
+                           fault_spec, seed)
     kb, kl = base.counters, leased.counters
     if not kl.link_flits < kb.link_flits:
         raise AssertionError(
@@ -778,14 +677,12 @@ TARGETS: dict[str, BenchTarget] = {
                     "structures", bench_sync_ablation),
         BenchTarget("trace_fastpath", "counters-only emit hot loop, fast "
                     "vs slow path", bench_trace_fastpath),
-        BenchTarget("engine_fastpath", "fast vs compat run-loop engine "
-                    "on the storm", bench_engine_fastpath),
         BenchTarget("fault_degradation", "Treiber throughput vs "
                     "escalating fault rate", bench_fault_degradation),
         BenchTarget("snapshot_roundtrip", "mid-run checkpoint save + "
                     "restore roundtrip", bench_snapshot_roundtrip),
         BenchTarget("tail_latency", "open-loop latency percentiles, "
-                    "fast/compat + restore identity", bench_tail_latency),
+                    "restore identity", bench_tail_latency),
         BenchTarget("cluster_scale", "sharded-counter throughput vs "
                     "node count (PaxosLease)", bench_cluster_scale),
         BenchTarget("link_saturation", "lease vs baseline over "

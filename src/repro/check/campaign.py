@@ -628,27 +628,23 @@ class CampaignReport:
 
 def run_campaign(target_name: str, *, budget: int = 100, seed: int = 1,
                  shrink: bool = True, shrink_runs: int = 160,
-                 fault_spec: str = "", engine: str = "fast",
-                 traffic: str = "",
+                 fault_spec: str = "", traffic: str = "",
                  progress: Callable[[str], None] | None = None
                  ) -> CampaignReport:
     """Explore ``budget`` schedules of ``target_name``; stop at the first
     failure (shrinking it to a minimal replayable repro).  ``fault_spec``
     (see :mod:`repro.faults`) fuzzes the schedules *under faults*: every
     machine runs with the seeded fault plan installed, and the same
-    linearizability + property checks must still hold.  ``engine`` is
-    recorded in the config and repro file; perturbed schedules install a
-    ``ScheduleStrategy``, which transparently forces the compat run loop
-    regardless, so the selector only changes unperturbed replays.
-    ``traffic`` (see :mod:`repro.traffic`) switches the workload to its
-    open-loop variant: arrivals are admitted from seeded streams and the
-    same linearizability checks run over the admitted-op histories."""
+    linearizability + property checks must still hold.  ``traffic`` (see
+    :mod:`repro.traffic`) switches the workload to its open-loop variant:
+    arrivals are admitted from seeded streams and the same
+    linearizability checks run over the admitted-op histories."""
     target = resolve_target(target_name)
     report = CampaignReport(target=target.name, seed=seed, budget=budget)
     for i in range(budget):
         variant, base_cfg = target.configs[i % len(target.configs)]
         cfg = replace(base_cfg, seed=_machine_seed(seed, i),
-                      fault_spec=fault_spec, engine=engine)
+                      fault_spec=fault_spec)
         out = run_once(target, variant, cfg, _strategy_for(seed, i),
                        traffic=traffic)
         report.schedules_run += 1
@@ -688,7 +684,6 @@ def run_campaign(target_name: str, *, budget: int = 100, seed: int = 1,
             "schedule_index": i,
             "machine_seed": cfg.seed,
             "fault_spec": fault_spec,
-            "engine": engine,
             "traffic": traffic,
             "strategy": out.strategy,
             "decisions": {str(k): v for k, v in sorted(decisions.items())},
@@ -717,8 +712,7 @@ def replay_repro(repro: dict) -> RunOutcome:
     target = resolve_target(repro["target"])
     cfg = replace(target.config_for(repro["variant"]),
                   seed=int(repro["machine_seed"]),
-                  fault_spec=repro.get("fault_spec", ""),
-                  engine=repro.get("engine", "fast"))
+                  fault_spec=repro.get("fault_spec", ""))
     decisions = {int(k): int(v)
                  for k, v in repro.get("decisions", {}).items()}
     return run_once(target, repro["variant"], cfg,

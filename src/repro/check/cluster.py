@@ -67,8 +67,7 @@ NODE_GRID: tuple[int, ...] = (2, 3, 4, 5)
 
 
 def cluster_config_for(*, nodes: int, cluster_spec: str, seed: int,
-                       quorum: int | None = None,
-                       engine: str = "fast") -> ClusterConfig:
+                       quorum: int | None = None) -> ClusterConfig:
     """The campaign's cluster shape: tight budgets so a stuck negotiation
     surfaces as SimulationTimeout instead of hanging the fuzzer."""
     mc = MachineConfig(
@@ -77,7 +76,6 @@ def cluster_config_for(*, nodes: int, cluster_spec: str, seed: int,
         max_cycles=3_000_000,
         max_events=3_000_000,
         seed=seed,
-        engine=engine,
     )
     return ClusterConfig(nodes=nodes, objects=2, machine=mc,
                          lease_cycles=LEASE_CYCLES,
@@ -146,7 +144,6 @@ def run_cluster_campaign(*, budget: int = 50, seed: int = 1,
                          quorum: int | None = None,
                          structure: str = "counter",
                          shrink: bool = True, shrink_runs: int = 120,
-                         engine: str = "fast",
                          progress: Callable[[str], None] | None = None
                          ) -> CampaignReport:
     """Explore ``budget`` schedules of the cluster workload; stop at the
@@ -165,7 +162,7 @@ def run_cluster_campaign(*, budget: int = 50, seed: int = 1,
                                        % len(CLUSTER_SPEC_GRID)])
         ccfg = cluster_config_for(nodes=n, cluster_spec=spec,
                                   seed=_machine_seed(seed, i),
-                                  quorum=quorum, engine=engine)
+                                  quorum=quorum)
         variant = f"n{n}" + (f"/{spec}" if spec else "")
         out = run_cluster_once(ccfg, _strategy_for(seed, i),
                                structure=structure)
@@ -199,7 +196,6 @@ def run_cluster_campaign(*, budget: int = 50, seed: int = 1,
             "campaign_seed": seed,
             "schedule_index": i,
             "machine_seed": ccfg.seed,
-            "engine": engine,
             "strategy": out.strategy,
             "decisions": {str(k): v for k, v in sorted(decisions.items())},
             "failure": {"kind": report.failure.kind,
@@ -220,8 +216,7 @@ def replay_cluster_repro(repro: dict) -> RunOutcome:
         nodes=int(repro["nodes"]),
         cluster_spec=repro.get("cluster_spec", ""),
         seed=int(repro["machine_seed"]),
-        quorum=int(quorum) if quorum is not None else None,
-        engine=repro.get("engine", "fast"))
+        quorum=int(quorum) if quorum is not None else None)
     decisions = {int(k): int(v)
                  for k, v in repro.get("decisions", {}).items()}
     return run_cluster_once(ccfg, ReplayStrategy(decisions),

@@ -9,8 +9,8 @@ with a diskless PaxosLease protocol (:class:`PaxosAgent`).  A
 over the paper's intra-node Lease/Release: a node only issues
 ``Lease`` on lines it holds the cluster lease for.
 
-Everything is deterministic per ``(ClusterConfig, seed)`` on both
-engines, checkpointable via ``state_dict``/``load_state``, and fuzzed by
+Everything is deterministic per ``(ClusterConfig, seed)``,
+checkpointable via ``state_dict``/``load_state``, and fuzzed by
 ``repro check cluster_lease`` (the ≤1-holder safety property under
 message loss, duplication, partitions and timer skew).
 """

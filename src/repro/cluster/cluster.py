@@ -4,8 +4,8 @@ The first layer above :class:`~repro.core.machine.Machine`.  A cluster
 owns the single :class:`~repro.engine.Simulator` and injects it into
 every member machine, so all nodes interleave on one shared event queue
 -- inter-node messages are just events like any cache miss, and the
-whole cluster remains a deterministic function of ``(config, seed)`` on
-either engine.  On top of the machines it wires:
+whole cluster remains a deterministic function of ``(config, seed)``.
+On top of the machines it wires:
 
 * an :class:`~repro.cluster.internode.InterNodeNetwork` (lossy,
   latency-modeled links driven by seeded streams),
@@ -85,8 +85,7 @@ class Cluster:
         self.schedule_strategy = schedule_strategy
         self.sim = Simulator(seed=cfg.seed, max_cycles=mc.max_cycles,
                              max_events=mc.max_events,
-                             strategy=schedule_strategy,
-                             engine=mc.engine)
+                             strategy=schedule_strategy)
         self._counters_sink = CountersTracer()
         self.trace = TraceBus(clock=lambda: self.sim.now,
                               sinks=(self._counters_sink,))
@@ -140,25 +139,13 @@ class Cluster:
         """Run the whole cluster until every node quiesces (or ``until``).
         """
         self._ran = True
-        cluster_folds = all(getattr(s, "folds_unordered", False)
-                            for s in self.trace.sinks)
         for m in self.nodes:
             m._ran = True
-            # A node may batch-advance only when the cluster bus folds
-            # too: batched worker frames emit cluster events (guard
-            # denials, paxos rounds) straight onto it.
-            m._batch_ok = (self.sim.engine == "fast" and cluster_folds
-                           and all(getattr(s, "folds_unordered", False)
-                                   for s in m.trace.sinks))
         return self.sim.run(until=until)
 
     @property
     def now(self) -> int:
         return self.sim.now
-
-    @property
-    def engine(self) -> str:
-        return self.sim.engine
 
     def check_coherence_invariants(self) -> None:
         for m in self.nodes:

@@ -239,7 +239,7 @@ def bench_cluster(num_threads: int, *, structure: str = "counter",
                   schedule: Any = None) -> RunResult:
     """Drive a sharded cluster workload; ``num_threads`` is threads *per
     node*.  ``sinks`` attach to the cluster bus (lease/message events).
-    The machine config template carries seed/faults/engine exactly as in
+    The machine config template carries seed/faults exactly as in
     the single-machine benches.  A non-empty ``traffic`` arrival spec
     switches workers to open-loop (admitted keys pick the shard; latency
     includes the cluster-lease acquisition round)."""

@@ -386,18 +386,12 @@ class LinkedNetwork(MeshNetwork):
     tile's intake port before the delivery callback runs.  Directory
     grants additionally serialize their L2 fetch through the home tile's
     memory port (see :meth:`grant_delivery`).
-
-    ``_pending`` counts messages somewhere inside the network (queued, in
-    service, or between resources); the core batch-fold gate treats a
-    non-zero value like a pending probe, exactly as it must: folding past
-    a queued message could commit an instruction that the message's
-    delivery would have interposed on.
     """
 
     contended = True
 
-    __slots__ = ("spec", "_pending", "_data_flits", "_egress", "_ports",
-                 "_mem", "_resources")
+    __slots__ = ("spec", "_data_flits", "_egress", "_ports", "_mem",
+                 "_resources")
 
     def __init__(self, config: NetworkConfig, num_tiles: int,
                  sim: Simulator, trace: TraceBus, faults=None,
@@ -405,7 +399,6 @@ class LinkedNetwork(MeshNetwork):
         super().__init__(config, num_tiles, sim, trace, faults=faults)
         self.spec = spec if spec is not None else parse_network_spec(
             getattr(config, "spec", ""))
-        self._pending = 0
         self._data_flits = self.spec.data_flits
         self._resources: list[Link] = []
 
@@ -454,7 +447,6 @@ class LinkedNetwork(MeshNetwork):
                 lat += extra
                 self.trace.fault_injected("net_jitter", dst, extra)
         self.trace.message(src, dst, kind.val, hops, carries)
-        self._pending += 1
         flow = DATA if carries else CONTROL
         flits = self._data_flits if carries else 1
         if self._egress is not None:
@@ -475,7 +467,6 @@ class LinkedNetwork(MeshNetwork):
             super().grant_delivery(src, dst, kind, fetch_cycles, fn, *args)
             return
         port = self._mem[src]
-        self._pending += 1
         flow = DATA if kind.carries else CONTROL
         self._offer(port, flow, 1, port.cycles + fetch_cycles,
                     self._mem_done, (src, dst, kind, fn, args))
@@ -560,12 +551,10 @@ class LinkedNetwork(MeshNetwork):
                     (fn, args))
 
     def _deliver(self, fn: Callable[..., Any], args: tuple) -> None:
-        self._pending -= 1
         fn(*args)
 
     def _mem_done(self, src: int, dst: int, kind: MessageKind,
                   fn: Callable[..., Any], args: tuple) -> None:
-        self._pending -= 1
         self.send(src, dst, kind, fn, *args)
 
     # -- reporting -----------------------------------------------------------
@@ -586,13 +575,9 @@ class LinkedNetwork(MeshNetwork):
     # -- checkpointing (repro.state) ----------------------------------------
 
     def state_dict(self, codec) -> dict:
-        return {
-            "pending": self._pending,
-            "resources": [r.state_dict(codec) for r in self._resources],
-        }
+        return {"resources": [r.state_dict(codec) for r in self._resources]}
 
     def load_state(self, state: dict, codec) -> None:
-        self._pending = state["pending"]
         for link, st in zip(self._resources, state["resources"]):
             link.load_state(st, codec)
 

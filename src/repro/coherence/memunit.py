@@ -72,7 +72,7 @@ class MemUnit:
 
     __slots__ = ("core_id", "config", "amap", "directory", "sim", "trace",
                  "l1", "lease_mgr", "_outstanding", "_line_shift",
-                 "_l1_latency", "_probe_pending")
+                 "_l1_latency")
 
     def __init__(self, core_id: int, config: MachineConfig,
                  amap: AddressMap, directory: Directory,
@@ -88,14 +88,6 @@ class MemUnit:
         #: Attached by the Machine after construction.
         self.lease_mgr: "LeaseManager | None" = None
         self._outstanding: _Outstanding | None = None
-        #: True only inside :meth:`complete_request` while a deferred probe
-        #: is waiting to be applied after the commit callback.  The core's
-        #: batch-advance must not fold instructions in that window: the
-        #: event-per-instruction schedule interposes the probe's
-        #: invalidation before the *next* dispatch event, which synchronous
-        #: folding would otherwise read past.  Never set between events,
-        #: so checkpoints need not serialize it.
-        self._probe_pending = False
         # Hot-path constants (the access path runs once per instruction).
         self._line_shift = config.line_size.bit_length() - 1
         self._l1_latency = config.l1_latency
@@ -158,15 +150,10 @@ class MemUnit:
             raise ProtocolError(
                 f"core {self.core_id}: completion for unknown request {req}")
         self._outstanding = None
-        if out.deferred_probe is not None:
-            self._probe_pending = True
-            try:
-                out.callback()
-            finally:
-                self._probe_pending = False
-            self._route_probe(out.deferred_probe)
-        else:
-            out.callback()
+        probe = out.deferred_probe
+        out.callback()
+        if probe is not None:
+            self._route_probe(probe)
 
     # -- probe path ----------------------------------------------------------
 

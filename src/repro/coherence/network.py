@@ -25,12 +25,8 @@ class MeshNetwork:
                  "_hops", "_lat", "_ctl", "_data")
 
     #: True on :class:`~repro.coherence.links.LinkedNetwork` only; gates
-    #: checkpoint state, result extras, and the core batch-fold check.
+    #: checkpoint state and result extras.
     contended = False
-    #: Messages inside the network's queues/resources.  Always 0 here (a
-    #: class attribute, so the fold-gate read is free on the default
-    #: contention-free model); LinkedNetwork shadows it per instance.
-    _pending = 0
 
     def __init__(self, config: NetworkConfig, num_tiles: int,
                  sim: Simulator, trace: TraceBus, faults=None) -> None:

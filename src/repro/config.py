@@ -195,14 +195,6 @@ class MachineConfig:
     max_cycles: int = 2_000_000_000
     max_events: int = 200_000_000
 
-    #: Run-loop engine (results are bit-identical either way): ``"fast"``
-    #: uses the bucketed time-wheel with batch-stepped cores, ``"compat"``
-    #: the classic per-event heap.  Machines with a schedule-perturbation
-    #: strategy installed always run compat regardless of this setting.
-    #: Not part of the machine's semantics: checkpoints ignore it, so a
-    #: state saved under one engine restores under the other.
-    engine: Literal["fast", "compat"] = "fast"
-
     def __post_init__(self) -> None:
         self.validate()
 
@@ -223,8 +215,6 @@ class MachineConfig:
             raise ConfigError("L1 size must be divisible by assoc*line_size")
         if self.protocol not in ("msi", "mesi"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.engine not in ("fast", "compat"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
         if self.fault_spec:
             # Lazy import: faults depends on errors/sync only, but config
             # must stay importable first.

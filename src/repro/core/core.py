@@ -6,58 +6,26 @@ generator, executes them against its memory unit / lease manager, and
 resumes the generator with the result.  Every instruction takes at least one
 cycle, and every continuation goes through the event queue, so generator
 resumption never recurses.
-
-Batch advance (the fast engine)
--------------------------------
-
-A core in a *steady state* -- spin-retry backoff, fence-separated compute,
-any run of ``Work``/``Fence`` yields, and memory instructions that hit in
-the local L1 without a MESI upgrade -- touches no shared state between its
-coherence-visible instructions, so the fast engine folds the whole run into
-one analytic advance: :meth:`Core._advance_batch` pulls the generator
-synchronously with the simulation clock *virtualized* to each instruction's
-retire cycle (every clock read, trace stamp and replay-log entry matches the
-event-per-instruction schedule exactly) and schedules a single event at the
-next coherence-visible cycle.  Each early pull is gated on the event queue
-holding nothing at or before that cycle, and every elided resume event
-burns a queue seq and an ``events_processed`` tick, so the folded schedule
-is *bit-identical* to the event-per-instruction one (see
-:meth:`Core._advance_batch`).  The machine additionally only enables
-batching (``machine._batch_ok``) on the fast engine when every attached
-sink folds events order-insensitively -- redundant under the identity
-argument, but it keeps exotic sinks on the maximally conservative path.
-
-One subtlety the queue gate cannot see: a miss completion may carry a
-*deferred probe* that the memory unit applies only after the commit
-callback returns (matching the event-per-instruction interleaving, where
-the probe lands before the next dispatch event).  While that probe is
-pending the core's L1 state is stale, so every fold entry point also
-checks ``MemUnit._probe_pending`` and takes the evented path.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from ..coherence.states import LineState
-from ..errors import LeaseError, SimulationError, SimulationTimeout
+from ..errors import CheckpointError, LeaseError, SimulationError
 from . import isa
 from .thread import ThreadHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
 
-_LS = int(LineState.S)
-_LE = int(LineState.E)
-
-#: The memory instructions the batch path can fold on an L1 hit.
+#: The memory instructions, all dispatched through the memory unit.
 _MEM_CLASSES = frozenset((isa.Load, isa.Store, isa.CAS, isa.FetchAdd,
                           isa.Swap, isa.TestAndSet))
 
 
 def _mem_op(instr: isa.Instr, t: type) -> tuple:
-    """The serializable pending-op descriptor for a memory instruction
-    (the same tuples :meth:`Core._dispatch` has always built)."""
+    """The serializable pending-op descriptor for a memory instruction."""
     if t is isa.Load:
         return ("load", instr.addr)
     if t is isa.Store:
@@ -95,9 +63,8 @@ class Core:
     """One in-order core: generator driver + memory unit + lease manager."""
 
     __slots__ = ("core_id", "machine", "sim", "trace", "memory", "memunit",
-                 "lease_mgr", "_network", "_gen", "_handle", "_pending_op",
-                 "_pending_retire", "_commit_cb", "_leases_enabled",
-                 "_work_scale")
+                 "lease_mgr", "_gen", "_handle", "_pending_op", "_commit_cb",
+                 "_leases_enabled", "_work_scale")
 
     def __init__(self, core_id: int, machine: "Machine") -> None:
         from ..coherence.memunit import MemUnit
@@ -108,12 +75,6 @@ class Core:
         self.sim = machine.sim
         self.trace = machine.trace
         self.memory = machine.memory
-        #: For the batch-fold gate: a contended network holds messages in
-        #: link/port queues (``_pending > 0``) whose delivery events are
-        #: not all materialized yet, so folding past them is unsafe.  On
-        #: the default contention-free mesh ``_pending`` is a class
-        #: attribute pinned to 0, so the gate read costs one attribute hop.
-        self._network = machine.network
         self.memunit = MemUnit(core_id, machine.config, machine.amap,
                                machine.directory, machine.sim,
                                machine.trace)
@@ -127,10 +88,6 @@ class Core:
         #: The in-flight memory op as a serializable descriptor (checkpoints
         #: re-materialize it instead of pickling a closure).
         self._pending_op: tuple | None = None
-        #: Set while a batched thread has run to exhaustion at a virtual
-        #: cycle that has not arrived yet: ``(result,)`` until the scheduled
-        #: :meth:`_retire_batched` performs the bookkeeping at that cycle.
-        self._pending_retire: tuple | None = None
         self._commit_cb = _CommitCallback(self)
         self._leases_enabled = machine.config.lease.enabled
         #: Fault-injected IPC throttle: retire latencies are multiplied by
@@ -191,215 +148,21 @@ class Core:
                 # workload code can catch them like an exception.
                 send = ("throw", fault)
 
-    # -- batch advance (fast engine; see module docstring) -----------------
-
-    def _l1_hit_op(self, instr: isa.Instr, t: type) -> tuple | None:
-        """On an L1 hit, replicate :meth:`MemUnit.access`'s hit-path side
-        effects at the current (possibly virtualized) cycle and return the
-        pending-commit descriptor; ``None`` on a miss (the caller then
-        takes the classic event-per-step path)."""
-        mu = self.memunit
-        line = instr.addr >> mu._line_shift
-        l1 = mu.l1
-        st = l1.state_of(line)
-        need_x = t is not isa.Load
-        if not (st >= _LE or (st == _LS and not need_x)):
-            return None
-        if need_x and st == _LE:
-            # MESI silent upgrade, exactly as MemUnit.access does it.
-            l1.set_state(line, LineState.M)
-            self.trace.mesi_upgrade(self.core_id, line)
-        self.trace.l1_hit(self.core_id, line)
-        l1.touch(line)
-        return _mem_op(instr, t)
-
-    def _advance_batch(self, v: int, op: tuple | None = None) -> None:
-        """Pull the generator through consecutive *steady-state* yields --
-        ``Work``, ``Fence``, and L1-hit memory ops -- with the clock
-        virtualized to each retire cycle ``v``, then schedule the next
-        coherence-visible step (or retirement) at its exact cycle.  ``op``
-        is a pending-commit descriptor whose hit-path dispatch already ran
-        (at ``v - l1_latency``); its commit is the first step folded here.
-
-        Two guards make this *bit-identical* to the event-per-step
-        schedule, not merely equivalent:
-
-        * Each early pull is gated on the queue holding no foreign event at
-          or before its cycle.  Then nothing can possibly run between here
-          and ``v`` -- pending events all lie strictly beyond ``v`` and
-          events cannot be scheduled into the past, so no descendant can
-          enter the window either -- which means the body observes exactly
-          the machine state it would have observed at ``v``, even if it
-          reads shared state directly (and the L1 state a hit check reads
-          cannot change under us).  When the gate fails, the core schedules
-          the classic per-event continuation instead (compat's exact event
-          -- a resume, or the pending op's commit -- with the same seq).
-        * Every elided intermediate event burns one queue seq and one
-          ``events_processed`` tick (with the run loop's budget checks),
-          so the global insertion counter -- the same-timestamp
-          tie-breaker -- and the event count stay in lockstep with the
-          compat schedule for all later events.
-        """
-        sim = self.sim
-        queue = sim.queue
-        # Fast-fail prologue: on dense workloads a foreign event almost
-        # always lands before ``v``, so check the gate before paying for
-        # the loop's locals.  ``_times[0]`` is an O(1) lower bound on
-        # peek_time (cancelled-only or fully-consumed head buckets make it
-        # conservative -- peek_time then gives the exact answer and, as a
-        # side effect, reclaims those buckets so later O(1) checks are
-        # exact).
-        times = queue._times
-        if times and times[0] <= v:
-            nt = queue.peek_time()
-            if nt is not None and nt <= v:
-                # A foreign event runs before our next step: stop pulling
-                # and materialize the classic continuation.
-                if op is not None:
-                    self._pending_op = op
-                    queue.schedule(v, self._commit_cb)
-                else:
-                    queue.schedule(v, self._resume, None)
-                return
-        base = sim.now
-        gen = self._gen
-        log = self.machine._replay_log
-        scale = self._work_scale
-        tid = self._handle.tid
-        memory = self.memory
-        trace = self.trace
-        l1_latency = self.memunit._l1_latency
-        work_cls = isa.Work
-        fence_cls = isa.Fence
-        mem_classes = _MEM_CLASSES
-        max_cycles = sim.max_cycles
-        max_events = sim.max_events
-        try:
-            while True:
-                sim.now = v
-                if op is not None:
-                    # The commit half of a folded L1 hit, exactly as
-                    # _commit performs it at this cycle.
-                    kind = op[0]
-                    if kind == "load":
-                        result = memory.read(op[1])
-                    elif kind == "store":
-                        memory.write(op[1], op[2])
-                        result = None
-                    elif kind == "cas":
-                        result = memory.cas(op[1], op[2], op[3])
-                        trace.cas(self.core_id, op[1], result)
-                    elif kind == "fetch_add":
-                        result = memory.fetch_add(op[1], op[2])
-                    else:  # swap (also serves TestAndSet)
-                        result = memory.swap(op[1], op[2])
-                    op = None
-                else:
-                    result = None
-                if log is not None:
-                    log.append(("send", tid, result, v))
-                try:
-                    instr = gen.send(result)
-                except StopIteration as stop:
-                    self._pending_retire = (stop.value,)
-                    queue.schedule(v, self._retire_batched)
-                    return
-                t = type(instr)
-                if t is work_cls:
-                    nv = v + max(1, instr.cycles) * scale
-                elif t is fence_cls:
-                    nv = v + scale
-                elif t in mem_classes:
-                    op = self._l1_hit_op(instr, t)
-                    if op is None:
-                        queue.schedule(v, self._dispatch_batched, instr)
-                        return
-                    nv = v + l1_latency
-                else:
-                    queue.schedule(v, self._dispatch_batched, instr)
-                    return
-                # The event compat would have processed at ``v`` was
-                # elided; mirror the run loop's accounting exactly -- seq,
-                # event count and both safety budgets.
-                if v > max_cycles:
-                    raise SimulationTimeout(
-                        f"simulation exceeded max_cycles={max_cycles}",
-                        cycle=v, events=sim.events_processed)
-                nev = sim.events_processed + 1
-                sim.events_processed = nev
-                if nev > max_events:
-                    raise SimulationTimeout(
-                        f"simulation exceeded max_events={max_events}"
-                        " (livelocked workload?)",
-                        cycle=v, events=nev)
-                queue._seq += 1
-                v = nv
-                # Same gate as the prologue, re-evaluated for the next
-                # step's cycle.
-                if times and times[0] <= v:
-                    nt = queue.peek_time()
-                    if nt is not None and nt <= v:
-                        if op is not None:
-                            self._pending_op = op
-                            queue.schedule(v, self._commit_cb)
-                        else:
-                            queue.schedule(v, self._resume, None)
-                        return
-        finally:
-            sim.now = base
-
-    def _dispatch_batched(self, instr: isa.Instr) -> None:
-        """Dispatch an instruction pulled ahead of time by a batch advance
-        (fires at the instruction's exact issue cycle)."""
-        try:
-            self._dispatch(instr)
-        except LeaseError as fault:
-            self._step(("throw", fault))
-
-    def _retire_batched(self) -> None:
-        """Thread retirement scheduled by a batch advance that ran the
-        generator to exhaustion at a then-future cycle."""
-        handle = self._handle
-        assert handle is not None and self._pending_retire is not None
-        handle.done = True
-        handle.result = self._pending_retire[0]
-        self._pending_retire = None
-        self._gen = None
-        self._handle = None
-        self.machine._thread_finished(handle)
-
     # -- instruction execution ------------------------------------------------
 
     def _dispatch(self, instr: isa.Instr) -> None:
         t = type(instr)
         scale = self._work_scale
         if t is isa.Work:
-            d = max(1, instr.cycles) * scale
-            if self.machine._batch_ok and not self.memunit._probe_pending \
-                    and not self._network._pending:
-                self._advance_batch(self.sim.now + d)
-            else:
-                sim = self.sim
-                sim.queue.schedule(sim.now + d, self._resume, None)
+            sim = self.sim
+            sim.queue.schedule(sim.now + max(1, instr.cycles) * scale,
+                               self._resume, None)
         elif t in _MEM_CLASSES:
-            if self.machine._batch_ok and not self.memunit._probe_pending \
-                    and not self._network._pending:
-                op = self._l1_hit_op(instr, t)
-                if op is not None:
-                    # The hit-path dispatch just ran; fold the commit (and
-                    # whatever steady-state run follows it) into a batch.
-                    self._advance_batch(self.sim.now + self.memunit._l1_latency,
-                                        op)
-                    return
             self._pending_op = _mem_op(instr, t)
             self.memunit.access(t is not isa.Load, instr.addr, is_lease=False,
                                 callback=self._commit_cb)
         elif t is isa.Fence:
-            if self.machine._batch_ok and not self.memunit._probe_pending \
-                    and not self._network._pending:
-                self._advance_batch(self.sim.now + scale)
-            else:
-                self.sim.after(scale, self._resume, None)
+            self.sim.after(scale, self._resume, None)
         elif t is isa.Lease:
             if not self._leases_enabled:
                 self.sim.after(0, self._resume, None)
@@ -440,15 +203,17 @@ class Core:
         op plus the memory unit and lease manager."""
         return {
             "pending_op": codec.encode(self._pending_op),
-            "pending_retire": codec.encode(self._pending_retire),
             "memunit": self.memunit.state_dict(codec),
             "lease": self.lease_mgr.state_dict(codec),
         }
 
     def load_state(self, state: dict, codec) -> None:
+        if state.get("pending_retire") is not None:
+            raise CheckpointError(
+                f"core {self.core_id}: the checkpoint holds a thread "
+                "retirement deferred by the removed fast engine's "
+                "batch-stepped cores; it cannot be restored (re-record it)")
         self._pending_op = codec.decode(state["pending_op"])
-        # Absent in pre-fast-engine checkpoints (additive, schema 1).
-        self._pending_retire = codec.decode(state.get("pending_retire"))
         self.memunit.load_state(state["memunit"], codec)
         self.lease_mgr.load_state(state["lease"], codec)
 

@@ -76,8 +76,7 @@ class Machine:
         if sim is None:
             self.sim = Simulator(seed=cfg.seed, max_cycles=cfg.max_cycles,
                                  max_events=cfg.max_events,
-                                 strategy=schedule_strategy,
-                                 engine=cfg.engine)
+                                 strategy=schedule_strategy)
             self._owns_sim = True
         else:
             # A member of a multi-node cluster: all machines share one
@@ -126,12 +125,8 @@ class Machine:
             self.sim.quiescent = lambda: self._live_threads == 0
             # The machine's quiescence predicate only flips on thread start
             # and finish, and both paths notify -- so the run loop can skip
-            # the per-event poll entirely (on either engine).
+            # the per-event poll entirely.
             self.sim.use_quiescence_notify()
-        #: True while core batch-advance is allowed (fast engine + every
-        #: trace sink folds events order-insensitively); recomputed at each
-        #: run() since sinks may be attached between runs.
-        self._batch_ok = False
         self._ran = False
         #: Checkpoint support (repro.state).  When recording is enabled,
         #: every generator interaction is appended to this global-order
@@ -228,20 +223,11 @@ class Machine:
         """Run until all threads finish (or ``until`` cycles).  Returns the
         final simulation time in cycles."""
         self._ran = True
-        self._batch_ok = (self.sim.engine == "fast"
-                          and all(getattr(s, "folds_unordered", False)
-                                  for s in self.trace.sinks))
         return self.sim.run(until=until)
 
     @property
     def now(self) -> int:
         return self.sim.now
-
-    @property
-    def engine(self) -> str:
-        """The engine actually in effect (``"compat"`` whenever a schedule
-        strategy is installed, regardless of the configured engine)."""
-        return self.sim.engine
 
     # -- checkpointing (repro.state) ----------------------------------------
 

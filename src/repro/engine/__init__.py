@@ -2,7 +2,5 @@
 
 from .event_queue import Event, EventQueue, ScheduleStrategy
 from .simulator import Simulator
-from .wheel import TimeWheel
 
-__all__ = ["Event", "EventQueue", "ScheduleStrategy", "Simulator",
-           "TimeWheel"]
+__all__ = ["Event", "EventQueue", "ScheduleStrategy", "Simulator"]

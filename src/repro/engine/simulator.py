@@ -1,38 +1,26 @@
 """Simulation clock and run loop.
 
-Two tiers share one clock contract:
-
-* ``engine="compat"`` -- the classic heap-backed
-  :class:`~repro.engine.event_queue.EventQueue` and the original
-  event-at-a-time loop.  Required whenever a
-  :class:`~repro.engine.event_queue.ScheduleStrategy` is installed (the
-  strategy perturbs same-timestamp order via priorities, which the wheel
-  does not model).
-* ``engine="fast"`` -- a bucketed :class:`~repro.engine.wheel.TimeWheel`
-  plus an inlined run loop that drains whole same-cycle buckets without
-  per-event heap traffic or per-event quiescence polls.  Produces
-  bit-identical schedules: with no strategy every priority is 0, so the
-  deterministic order is exactly ``(time, seq)`` -- which is precisely
-  bucket order.
+One engine: the heap-backed :class:`~repro.engine.event_queue.EventQueue`
+and an event-at-a-time loop.  With no
+:class:`~repro.engine.event_queue.ScheduleStrategy` installed every
+priority is 0, so events fire in exact ``(time, seq)`` order.
 
 Quiescence is *polled* by default (the predicate runs before every event,
 as it always did) so bare simulators with ad-hoc ``quiescent`` lambdas keep
 their semantics.  A machine whose predicate only changes at discrete
 notification points (thread start/finish) opts into *notify* mode via
-:meth:`Simulator.use_quiescence_notify`; the run loops then re-evaluate the
+:meth:`Simulator.use_quiescence_notify`; the run loop then re-evaluates the
 predicate only when :attr:`quiesce_dirty` has been raised, eliding the
 no-op polls between notifications without changing when the run stops.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Any, Callable
 
 from ..errors import SimulationError, SimulationTimeout
 from .event_queue import Event, EventQueue, ScheduleStrategy
-from .wheel import TimeWheel
 
 
 class Simulator:
@@ -47,28 +35,19 @@ class Simulator:
     ``strategy`` installs a schedule-perturbation
     :class:`~repro.engine.event_queue.ScheduleStrategy` that reorders
     same-timestamp events (used by :mod:`repro.check` to explore
-    interleavings) and transparently forces the compat engine; the default
-    ``None`` keeps the classic deterministic ``(time, seq)`` order
-    bit-for-bit on either engine.
+    interleavings); the default ``None`` keeps the classic deterministic
+    ``(time, seq)`` order.
     """
 
     __slots__ = ("queue", "now", "rng", "max_cycles", "max_events",
-                 "events_processed", "quiescent", "engine", "_running",
+                 "events_processed", "quiescent", "_running",
                  "_poll_quiescence", "quiesce_dirty")
 
     def __init__(self, *, seed: int = 1,
                  max_cycles: int = 2_000_000_000,
                  max_events: int = 200_000_000,
-                 strategy: ScheduleStrategy | None = None,
-                 engine: str = "compat") -> None:
-        if engine not in ("fast", "compat"):
-            raise SimulationError(
-                f"unknown engine {engine!r} (expected 'fast' or 'compat')")
-        if strategy is not None:
-            # A perturbation strategy needs the priority-aware heap.
-            engine = "compat"
-        self.engine = engine
-        self.queue = TimeWheel() if engine == "fast" else EventQueue(strategy)
+                 strategy: ScheduleStrategy | None = None) -> None:
+        self.queue = EventQueue(strategy)
         self.now: int = 0
         self.rng = random.Random(seed)
         self.max_cycles = max_cycles
@@ -146,8 +125,6 @@ class Simulator:
         quiescence, or when the queue drains with no horizon, the clock
         stays at the last processed event's time.
         """
-        if self.engine == "fast":
-            return self._run_fast(until)
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
@@ -187,91 +164,4 @@ class Simulator:
             # stays at the last processed event's time.
             return self.now
         finally:
-            self._running = False
-
-    def _run_fast(self, until: int | None = None) -> int:
-        """The inlined fast-engine loop over the time-wheel's buckets.
-
-        Event-for-event equivalent to the compat loop above: same stop
-        conditions evaluated in the same order, same budget-exception
-        payloads, same clock rule.  The wins are structural -- no heap
-        traffic, no per-event ``pop()``/``peek_time()`` calls, quiescence
-        evaluated only when flagged (in notify mode), and every hot name a
-        local.
-        """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        q = self.queue
-        times = q._times
-        buckets = q._buckets
-        heappop = heapq.heappop
-        poll = self._poll_quiescence
-        quiescent = self.quiescent
-        max_cycles = self.max_cycles
-        max_events = self.max_events
-        has_until = until is not None
-        # ``events_processed`` stays authoritative on self throughout: a
-        # batch-advancing core accounts its elided resume events there
-        # mid-handler (see Core._advance_batch).
-        consumed = 0
-        # The current draining bucket, cached across events.  Handlers can
-        # only schedule at >= now == t, so ``t`` stays the minimum time
-        # while its bucket has entries; appends to ``lst`` are picked up by
-        # re-reading its length, and the exhausted bucket is deleted lazily
-        # by the locate loop below (keeping it appendable all cycle).
-        t = 0
-        lst: list | None = None
-        self.quiesce_dirty = True
-        try:
-            while True:
-                if poll or self.quiesce_dirty:
-                    self.quiesce_dirty = False
-                    if quiescent():
-                        return self.now
-                if lst is not None:
-                    i = lst[0] + 1
-                    if i < len(lst):
-                        lst[0] = i
-                        ev = lst[i]
-                        if ev.cancelled:
-                            continue
-                        consumed += 1
-                        nev = self.events_processed + 1
-                        self.events_processed = nev
-                        if nev > max_events:
-                            raise SimulationTimeout(
-                                f"simulation exceeded max_events="
-                                f"{max_events} (livelocked workload?)",
-                                cycle=t, events=nev)
-                        ev.fn(*ev.args)
-                        continue
-                    lst = None
-                # Locate the earliest pending bucket without consuming an
-                # entry (a deferred event keeps its place).  The horizon
-                # and cycle-budget checks ride on the bucket's time, so
-                # they run once per distinct timestamp, not per event.
-                while times:
-                    t = times[0]
-                    nxt = buckets[t]
-                    if nxt[0] + 1 < len(nxt):
-                        break
-                    del buckets[heappop(times)]
-                else:
-                    # Drained: same clock rule as the compat loop.
-                    if has_until and until > self.now:
-                        self.now = until
-                    return self.now
-                if has_until and t > until:
-                    if until > self.now:
-                        self.now = until
-                    return self.now
-                if t > max_cycles:
-                    raise SimulationTimeout(
-                        f"simulation exceeded max_cycles={max_cycles}",
-                        cycle=t, events=self.events_processed)
-                self.now = t
-                lst = nxt
-        finally:
-            q._live -= consumed
             self._running = False

@@ -65,13 +65,6 @@ def run_experiment(exp_id: str,
         base = common.get("config") or MachineConfig()
         common["config"] = replace(
             base, network=replace(base.network, spec=network))
-    # An ``engine=...`` override picks the run-loop engine the same way
-    # (results are bit-identical on either; this exists for A/B timing and
-    # as an escape hatch).
-    engine = common.pop("engine", None)
-    if engine is not None:
-        base = common.get("config") or MachineConfig()
-        common["config"] = replace(base, engine=engine)
     return sweep(exp.bench, exp.variants, thread_counts, jobs=jobs,
                  **common)
 

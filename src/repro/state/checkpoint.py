@@ -41,14 +41,8 @@ CKPT_SCHEMA = 1
 
 def config_fingerprint(config: Any) -> dict:
     """The config as a canonical JSON-safe dict (tuples normalized to
-    lists so an in-memory config compares equal to a round-tripped one).
-
-    The run-loop ``engine`` choice is excluded: both engines produce
-    bit-identical machine state, so a checkpoint taken under one engine
-    restores under the other."""
-    d = dataclasses.asdict(config)
-    d.pop("engine", None)
-    return json.loads(json.dumps(d, sort_keys=True))
+    lists so an in-memory config compares equal to a round-tripped one)."""
+    return json.loads(json.dumps(dataclasses.asdict(config), sort_keys=True))
 
 
 def checkpoint_cell_key(config: Any, cell: dict | None) -> str:

@@ -78,15 +78,9 @@ def _enum_classes() -> dict[str, type]:
     return {cls.__name__: cls for cls in (MessageKind, LineState, DirState)}
 
 
-def _instr_classes() -> dict[str, type]:
-    """Instruction classes (a batch-advanced core schedules its pre-pulled
-    instruction as an event argument)."""
-    from ..core import isa
-
-    return {cls.__name__: cls for cls in
-            (isa.Work, isa.Load, isa.Store, isa.CAS, isa.FetchAdd, isa.Swap,
-             isa.TestAndSet, isa.Fence, isa.Lease, isa.Release,
-             isa.MultiLease, isa.ReleaseAll)}
+#: Core continuations only the removed fast engine's batch-stepped cores
+#: ever scheduled; a checkpoint that queued one cannot be restored.
+_FAST_ENGINE_FNS = frozenset(("_dispatch_batched", "_retire_batched"))
 
 
 class SnapshotCodec:
@@ -97,14 +91,11 @@ class SnapshotCodec:
     """
 
     def __init__(self, machine: "Machine | None" = None) -> None:
-        from ..core.isa import Instr
         from ..engine.event_queue import Event
 
         self._event_cls = Event
-        self._instr_base = Instr
         self._pool_classes = _pooled_classes()
         self._enums = _enum_classes()
-        self._instrs = _instr_classes()
         # -- identity pool (encode side) --
         self._pool_index: dict[int, int] = {}
         self._pool_fields: list = []
@@ -141,8 +132,7 @@ class SnapshotCodec:
         machines sharing one event queue."""
         p = tuple(prefix)
         for i, core in enumerate(machine.cores):
-            for name in ("_resume", "_lease_done", "_dispatch_batched",
-                         "_retire_batched"):
+            for name in ("_resume", "_lease_done"):
                 self._register(p + ("core", i, name), getattr(core, name))
             self._register(p + ("core_commit", i), core._commit_cb)
             for name in ("complete_request", "handle_probe"):
@@ -177,6 +167,11 @@ class SnapshotCodec:
     def decode_fn(self, desc: list) -> Any:
         fn = self._fn_by_desc.get(tuple(desc))
         if fn is None:
+            if desc and desc[-1] in _FAST_ENGINE_FNS:
+                raise CheckpointError(
+                    f"function descriptor {desc!r} was scheduled by the "
+                    "removed fast engine's batch-stepped cores; this "
+                    "checkpoint cannot be restored (re-record it)")
             raise CheckpointError(f"unknown function descriptor {desc!r}")
         return fn
 
@@ -200,10 +195,6 @@ class SnapshotCodec:
             return ["enum", t.__name__, v.name]
         if t is self._event_cls:
             return ["event", v.seq]
-        if isinstance(v, self._instr_base):
-            return ["instr", t.__name__,
-                    [[slot, self.encode(getattr(v, slot))]
-                     for slot in t.__slots__]]
         if t.__name__ in self._pool_classes and \
                 self._pool_classes[t.__name__] is t:
             return self._pool_ref(v)
@@ -231,12 +222,6 @@ class SnapshotCodec:
                 raise CheckpointError(
                     "event reference decoded before the queue was rebuilt")
             return self._event_map[v[1]]
-        if tag == "instr":
-            cls = self._instrs[v[1]]
-            obj = object.__new__(cls)
-            for slot, enc in v[2]:
-                setattr(obj, slot, self.decode(enc))
-            return obj
         if tag == "obj":
             return self._pool_items[v[1]]
         if tag == "fn":

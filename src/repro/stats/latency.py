@@ -6,8 +6,7 @@ that exercise, so the histogram must be cheap to record into (one integer
 index computation, one dict bump), mergeable across lanes/runs, and --
 because the simulator's identity contracts extend to it -- **bit-exact**:
 two runs that execute the same schedule produce byte-identical bucket
-maps, whatever engine ran them and whether a checkpoint/restore cut the
-run in half.
+maps, whether or not a checkpoint/restore cut the run in half.
 
 The bucket layout is HdrHistogram-lite: values below ``SUB_BUCKETS`` get
 one exact bucket each; above that, every power-of-two octave is split

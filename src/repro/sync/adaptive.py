@@ -18,11 +18,9 @@ structures consult on every lease issue (their ``lease_policy`` hook):
   the way.
 
 The controller is a trace sink, attached with
-``machine.attach_tracer(...)``.  It is *stream-ordered*
-(``folds_unordered = False``), so attaching one transparently disables
-core batch-advance on the fast engine -- adaptation depends on the
-relative order of probe-queue and release events on a line, which
-batch-advance may permute.  State is checkpointable
+``machine.attach_tracer(...)``.  It is *stream-ordered*: adaptation
+depends on the relative order of probe-queue and release events on a
+line.  State is checkpointable
 (``state_dict``/``load_state``), so shrink campaigns can prefix-restore
 through it.
 """

@@ -84,17 +84,7 @@ class Tracer:
     goes further: a sink may provide payload-level callables (same
     signature as the event constructor, minus ``self``) for types it can
     consume without the object at all.
-
-    ``folds_unordered`` declares that the sink's final state is invariant
-    under reordering events of *different cores* within one cycle (pure
-    counters are; anything recording a stream is not).  Core batch-advance
-    on the fast engine changes that emission order -- never timestamps or
-    per-core order -- so the machine only enables it when every attached
-    sink sets this flag.
     """
-
-    #: Conservative default: an unknown sink may care about stream order.
-    folds_unordered = False
 
     def on_event(self, ev: TraceEvent) -> None:
         raise NotImplementedError
@@ -116,8 +106,6 @@ class Tracer:
 class NullTracer(Tracer):
     """A sink that drops everything (for machines that need no accounting
     at all, and as the do-nothing default for standalone components)."""
-
-    folds_unordered = True
 
     def on_event(self, ev: TraceEvent) -> None:
         pass

@@ -41,10 +41,6 @@ class CountersTracer(Tracer):
     existing result/report/energy code works unchanged.
     """
 
-    #: Pure accumulation: totals are invariant under same-cycle reordering
-    #: of different cores' events, so core batch-advance may proceed.
-    folds_unordered = True
-
     def __init__(self, counters: Counters | None = None) -> None:
         self.counters = counters or Counters()
         k = self.counters

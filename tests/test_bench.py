@@ -14,8 +14,8 @@ FAST = "event_queue"
 RECORD_KEYS = {
     "bench_format", "name", "title", "quick", "repeats", "wall_seconds",
     "ops", "ops_per_sec", "events", "events_per_sec", "peak_heap_bytes",
-    "calibration_ops_per_sec", "score", "fault_spec", "seed", "engine",
-    "extra", "machine",
+    "calibration_ops_per_sec", "score", "fault_spec", "seed", "extra",
+    "machine",
 }
 
 
@@ -41,8 +41,8 @@ def test_all_targets_registered():
     assert set(bench.TARGETS) == {
         "event_queue", "coherence_storm", "treiber", "counter",
         "sweep_cell", "sync_ablation", "trace_fastpath",
-        "fault_degradation", "snapshot_roundtrip", "engine_fastpath",
-        "cluster_scale", "tail_latency", "link_saturation"}
+        "fault_degradation", "snapshot_roundtrip", "cluster_scale",
+        "tail_latency", "link_saturation"}
     assert bench.default_target_names() == list(bench.TARGETS)
 
 

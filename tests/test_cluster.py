@@ -1,6 +1,6 @@
 """The cluster layer (``repro.cluster``): config/spec validation, the
-PaxosLease negotiation, workload correctness, determinism, engine
-bit-identity, trace events, and the CLI surface."""
+PaxosLease negotiation, workload correctness, determinism, trace
+events, and the CLI surface."""
 
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ FAULTY_SPEC = ("loss:p=0.1;dup:p=0.05;partition:p=0.05,len=2000,check=400;"
                "skew:40;delay:min=60,max=160")
 
 
-def _mc(threads: int = 2, engine: str = "fast",
-        seed: int = 1) -> MachineConfig:
-    cfg = MachineConfig(num_cores=threads, seed=seed, engine=engine)
+def _mc(threads: int = 2, seed: int = 1) -> MachineConfig:
+    cfg = MachineConfig(num_cores=threads, seed=seed)
     return replace(cfg, lease=replace(cfg.lease, enabled=True))
 
 
@@ -160,7 +159,7 @@ def test_verify_cluster_counters_catches_tampering():
         verify_cluster_counters(cluster, info)
 
 
-# -- determinism + engines ----------------------------------------------------
+# -- determinism --------------------------------------------------------------
 
 def _result_dict(res):
     return dataclasses.asdict(res)
@@ -184,17 +183,6 @@ def test_different_seed_different_schedule():
                       cluster_spec=FAULTY_SPEC, lease_cycles=4_000,
                       renew_margin=1_000, config=_mc(seed=10))
     assert _result_dict(a) != _result_dict(b)
-
-
-@pytest.mark.parametrize("structure", ["counter", "treiber"])
-def test_fast_and_compat_engines_bit_identical(structure):
-    results = {}
-    for engine in ("fast", "compat"):
-        results[engine] = bench_cluster(
-            2, structure=structure, nodes=3, objects=2, ops_per_thread=5,
-            cluster_spec=FAULTY_SPEC, lease_cycles=4_000,
-            renew_margin=1_000, config=_mc(engine=engine))
-    assert _result_dict(results["fast"]) == _result_dict(results["compat"])
 
 
 # -- trace events + counters --------------------------------------------------

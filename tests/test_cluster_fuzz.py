@@ -140,7 +140,6 @@ def test_cli_replay_that_does_not_reproduce(tmp_path, capsys):
         "quorum": None,
         "cluster_spec": "loss:p=0.1",
         "machine_seed": 42,
-        "engine": "fast",
         "decisions": {},
     }
     path = tmp_path / "repro.json"

@@ -19,9 +19,8 @@ FAULTY_SPEC = ("loss:p=0.1;dup:p=0.05;partition:p=0.05,len=2000,check=400;"
                "skew:40;delay:min=60,max=160")
 
 
-def _ccfg(nodes: int = 3, engine: str = "fast",
-          spec: str = FAULTY_SPEC) -> ClusterConfig:
-    mc = MachineConfig(num_cores=2, seed=11, engine=engine)
+def _ccfg(nodes: int = 3, spec: str = FAULTY_SPEC) -> ClusterConfig:
+    mc = MachineConfig(num_cores=2, seed=11)
     mc = replace(mc, lease=replace(mc.lease, enabled=True))
     return ClusterConfig(nodes=nodes, objects=2, machine=mc,
                          lease_cycles=4_000, renew_margin=1_000,
@@ -40,7 +39,7 @@ def _final(cluster) -> dict:
 
 
 @pytest.mark.parametrize("structure", ["counter", "treiber"])
-@pytest.mark.parametrize("cut", [1, 137, 2_500])
+@pytest.mark.parametrize("cut", [1, 137, 800, 2_500])
 def test_roundtrip_bit_identical(structure, cut):
     ref, _ = _build(_ccfg(), structure)
     ref.run()
@@ -54,22 +53,6 @@ def test_roundtrip_bit_identical(structure, cut):
     assert _final(a) == expected  # checkpointing perturbs nothing
 
     b, _ = _build(_ccfg(), structure)
-    b.load_state(json.loads(blob))
-    b.run()
-    assert _final(b) == expected
-
-
-def test_roundtrip_compat_engine():
-    ref, _ = _build(_ccfg(engine="compat"))
-    ref.run()
-    expected = _final(ref)
-
-    a, _ = _build(_ccfg(engine="compat"))
-    a.enable_checkpointing()
-    a.run(until=800)
-    blob = json.dumps(a.state_dict())
-
-    b, _ = _build(_ccfg(engine="compat"))
     b.load_state(json.loads(blob))
     b.run()
     assert _final(b) == expected

@@ -5,11 +5,11 @@ checkpoint roundtrips through saturated link state.
 The headline contracts under test:
 
 * an empty/``infinite`` spec builds the plain contention-free
-  :class:`MeshNetwork` -- no queues exist, behaviour is bit-identical to
-  the pre-links model, and the fast/compat engines still agree;
+  :class:`MeshNetwork` -- no queues exist and behaviour is bit-identical
+  to the pre-links model;
 * a finite spec conserves messages (every send is granted exactly once,
   per-flow FIFO order holds on every link) and stays bit-identical
-  across engines and across a mid-run checkpoint/restore cut.
+  across a mid-run checkpoint/restore cut.
 """
 
 from __future__ import annotations
@@ -200,25 +200,24 @@ def test_empty_spec_builds_plain_mesh():
 
 
 IDENTITY_GRID = [
-    # (protocol, leases, faults, engine)
-    ("msi", True, "", "fast"),
-    ("msi", False, "", "compat"),
-    ("mesi", True, "", "compat"),
-    ("mesi", False, "net_jitter:p=0.2,max=6", "fast"),
-    ("msi", True, "dir_nack:p=0.1;timer_skew:4", "fast"),
-    ("mesi", True, "net_jitter:p=0.1,max=9;dir_nack:p=0.05", "compat"),
+    # (protocol, leases, faults)
+    ("msi", True, ""),
+    ("msi", False, ""),
+    ("mesi", True, ""),
+    ("mesi", False, "net_jitter:p=0.2,max=6"),
+    ("msi", True, "dir_nack:p=0.1;timer_skew:4"),
+    ("mesi", True, "net_jitter:p=0.1,max=9;dir_nack:p=0.05"),
 ]
 
 
-@pytest.mark.parametrize("protocol,leases,faults,engine", IDENTITY_GRID,
+@pytest.mark.parametrize("protocol,leases,faults", IDENTITY_GRID,
                          ids=lambda v: str(v))
-def test_infinite_spec_is_bit_identical(protocol, leases, faults, engine):
+def test_infinite_spec_is_bit_identical(protocol, leases, faults):
     """``spec="infinite"`` must match the spec-less build field-for-field
     (RunResult, event count, final cycle) across the protocol x leases x
-    faults x engine grid -- the default path builds the identical plain
+    faults grid -- the default path builds the identical plain
     MeshNetwork, so nothing may diverge."""
-    cfg = MachineConfig(num_cores=4, protocol=protocol, fault_spec=faults,
-                        engine=engine)
+    cfg = MachineConfig(num_cores=4, protocol=protocol, fault_spec=faults)
     cfg = cfg.with_leases(leases)
     plain = _result_of(cfg)
     inf = _result_of(replace(cfg, network=replace(cfg.network,
@@ -232,13 +231,12 @@ def test_infinite_spec_is_bit_identical(protocol, leases, faults, engine):
 
 
 # ---------------------------------------------------------------------------
-# Contended runs: conservation, engine identity, degrade determinism
+# Contended runs: conservation, result extras, degrade determinism
 # ---------------------------------------------------------------------------
 
 def _contended_cfg(spec: str = SAT_SPEC, *, leases: bool = False,
-                   faults: str = "", engine: str = "fast",
-                   cores: int = 4) -> MachineConfig:
-    cfg = MachineConfig(num_cores=cores, fault_spec=faults, engine=engine)
+                   faults: str = "", cores: int = 4) -> MachineConfig:
+    cfg = MachineConfig(num_cores=cores, fault_spec=faults)
     cfg = cfg.with_leases(leases)
     return replace(cfg, network=replace(cfg.network, spec=spec))
 
@@ -254,21 +252,8 @@ def test_contended_run_conserves_messages():
     assert k.link_msgs == k.messages > 0
     assert k.link_flits > k.link_msgs          # data messages cost 4 flits
     assert k.link_queued > 0                   # the hot cell saturated
-    assert m.network._pending == 0
     for link in m.network._resources:
         assert link.serving is None and link.depth == 0
-
-
-@pytest.mark.parametrize("spec", [
-    SAT_SPEC,
-    "link:bw=3",                               # unbounded queues, no ports
-    "port:dir=2,mem=3,queue=4;arb:priority",   # ports only, no egress
-    "link:bw=1,queue=2;arb:fifo",              # deep backpressure
-])
-def test_contended_fast_compat_identity(spec):
-    fast = _result_of(_contended_cfg(spec, engine="fast"))
-    compat = _result_of(_contended_cfg(spec, engine="compat"))
-    assert fast == compat
 
 
 def test_contended_result_extras():
@@ -305,6 +290,12 @@ def test_link_degrade_without_contended_network_is_noop():
 # Checkpoint roundtrip through saturated link state
 # ---------------------------------------------------------------------------
 
+def _occupancy(m: Machine) -> list:
+    """Which link/port resources are serving, and how deep each queue is."""
+    return [(link.serving is not None, link.depth)
+            for link in m.network._resources]
+
+
 def _build_contended_treiber(cfg: MachineConfig) -> Machine:
     m = Machine(cfg)
     s = TreiberStack(m)
@@ -328,13 +319,13 @@ def test_contended_roundtrip_is_bit_identical(spec, faults, cut):
     m1 = _build_contended_treiber(cfg)
     m1.enable_checkpointing()
     m1.run(until=cut)
-    in_flight = m1.network._pending
+    parked = _occupancy(m1)
     state = json.loads(json.dumps(m1.state_dict()))
     assert "network" in state
 
     m2 = _build_contended_treiber(cfg)
     m2.load_state(state)
-    assert m2.network._pending == in_flight
+    assert _occupancy(m2) == parked
     m1.run()
     m2.run()
 

@@ -1,8 +1,8 @@
 """Open-loop traffic: spec grammar, lanes, shed accounting, SLO gate.
 
 Ends with the identity checks the tentpole promises: the latency
-histogram of an open-loop run is bit-identical on the fast and compat
-engines and across a mid-run checkpoint/restore cut, and the CLI turns
+histogram of an open-loop run is bit-identical across a mid-run
+checkpoint/restore cut, and the CLI turns
 an SLO miss into exit code 1 (a bad spec into exit code 2).
 """
 
@@ -219,38 +219,28 @@ class TestSlo:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end identity: engines, checkpoint/restore, CLI gate
+# End-to-end identity: checkpoint/restore, CLI gate
 # ---------------------------------------------------------------------------
 
 SPEC = "poisson:rate=2.0,zipf:s=1.1,tenants=2,ops=8"
 
 
 class TestEndToEnd:
-    def _run(self, engine, use_lease=False):
+    def _run(self, use_lease=False):
         return bench_counter(2, use_lease=use_lease, traffic=SPEC,
-                             config=MachineConfig(seed=7, engine=engine))
+                             config=MachineConfig(seed=7))
 
     def test_latency_payload_attached(self):
-        r = self._run("fast")
+        r = self._run()
         assert r.latency is not None
         assert r.ops == r.latency["admitted"] == r.latency["hist"]["total"]
         assert {"p50", "p99", "p999", "shed", "slo"} <= r.latency.keys()
         assert r.counters["traffic_admitted"] == r.latency["admitted"]
         assert r.counters["traffic_shed"] == r.latency["shed"]
 
-    def test_fast_compat_bit_identical(self):
-        rf, rc = self._run("fast"), self._run("compat")
-        assert rf.latency == rc.latency
-        assert rf.cycles == rc.cycles and rf.ops == rc.ops
-
-    def test_lease_variant_also_identical(self):
-        rf = self._run("fast", use_lease=True)
-        rc = self._run("compat", use_lease=True)
-        assert rf.latency == rc.latency
-
     def test_checkpoint_restore_histogram_identical(self):
         def build():
-            m = Machine(MachineConfig(num_cores=2, seed=7, engine="fast"))
+            m = Machine(MachineConfig(num_cores=2, seed=7))
             m.enable_checkpointing()
             counter = LockedCounter(m, lock="tts")
             src = TrafficSource(SPEC, num_lanes=2, seed=7, key_range=16)
