@@ -77,7 +77,7 @@ Examples::
     python -m repro bench --list
     python -m repro bench --quick --baseline benchmarks/baseline.json
     python -m repro bench snapshot_roundtrip --seed 7
-    python -m repro bench trace_fastpath --profile
+    python -m repro bench treiber --profile
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 ``python -m repro bench [targets...] [--quick] [--baseline FILE]`` times
 the simulator's hot loops (event-queue churn, coherence storms, contended
-structure runs, a full sweep cell, and the trace-bus fast/slow A/B),
-writes one ``BENCH_<name>.json`` per target, and optionally diffs the
-normalized scores against a committed baseline with a tolerance gate.
+structure runs, a full sweep cell, and the fault, checkpoint, traffic,
+cluster and link scenarios), writes one ``BENCH_<name>.json`` per target,
+and optionally diffs the normalized scores against a committed baseline
+with a tolerance gate.
 
 See DESIGN.md ("Benchmarking") for the record schema and the
 cross-machine score normalization.

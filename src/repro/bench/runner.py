@@ -5,8 +5,7 @@ Protocol per target:
 1. **Timing pass** -- call the target ``repeats`` times under
    :func:`time.perf_counter` and keep the *best* wall time (the standard
    microbenchmark discipline: minimum over repeats rejects scheduler noise
-   one-sidedly).  Self-timed targets (those returning ``wall_seconds``)
-   are still repeated and the best of their self-reported times kept.
+   one-sidedly).
 2. **Heap pass** -- one extra run under :mod:`tracemalloc` for
    ``peak_heap_bytes``.  Separate pass because tracemalloc's bookkeeping
    slows the timed loop by an order of magnitude.
@@ -113,8 +112,7 @@ def run_target(name: str, *, quick: bool = False, repeats: int = 3,
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         report = target.fn(quick, fault_spec, seed, **extra_kw)
-        wall = report.get("wall_seconds", time.perf_counter() - t0)
-        best_wall = min(best_wall, wall)
+        best_wall = min(best_wall, time.perf_counter() - t0)
 
     tracemalloc.start()
     try:
@@ -305,7 +303,4 @@ def record_summary_line(rec: dict[str, Any]) -> str:
              f"score {rec['score']:.4f}"]
     if rec.get("events_per_sec"):
         parts.insert(2, f"{rec['events_per_sec']:>12,.0f} ev/s")
-    extra = rec.get("extra") or {}
-    if "improvement_pct" in extra:
-        parts.append(f"fast-path {extra['improvement_pct']:+}%")
     return "  ".join(parts)

@@ -6,12 +6,11 @@ one complete iteration of its workload and reports::
 
     {"ops": <units of work>,            # denominator of ops/sec
      "events": <simulator events> | None,
-     "extra": {...},                    # target-specific findings
-     "wall_seconds": <float>}           # optional: self-timed targets only
+     "extra": {...}}                    # target-specific findings
 
-The :mod:`~repro.bench.runner` repeats the call, times it (unless the
-target self-times, like the fast/slow A/B below), measures peak heap on a
-separate pass, and normalizes against a per-machine calibration loop.
+The :mod:`~repro.bench.runner` repeats the call, times it, measures peak
+heap on a separate pass, and normalizes against a per-machine calibration
+loop.
 
 Targets cover the loops that dominate figure-reproduction wall-clock:
 
@@ -26,8 +25,6 @@ Targets cover the loops that dominate figure-reproduction wall-clock:
 * ``sync_ablation``    -- the contention-management zoo: all 6 policies x
   3 structures through the workload driver, reporting lease-vs-software
   headline ratios;
-* ``trace_fastpath``   -- the counters-only emit hot loop, fast vs slow
-  path, asserting bit-identical counters and ``RunResult``;
 * ``fault_degradation`` -- contended Treiber stack throughput under an
   escalating fault-rate grid, reporting simulated-throughput degradation
   relative to the fault-free run;
@@ -45,14 +42,12 @@ Targets cover the loops that dominate figure-reproduction wall-clock:
 
 ``fault_spec`` threads a :mod:`repro.faults` spec into the targets that
 build a machine; ``seed`` reseeds those machines (CLI ``--seed``, for
-parity with run/trace/check).  The pure-scheduler targets
-(``event_queue``, ``trace_fastpath``) accept and ignore the selectors that
-do not apply.
+parity with run/trace/check).  The pure-scheduler ``event_queue`` target
+accepts and ignores them.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -493,89 +488,6 @@ def bench_cluster_scale(quick: bool, fault_spec: str = "",
 
 
 # ---------------------------------------------------------------------------
-# Trace-bus fast path A/B
-# ---------------------------------------------------------------------------
-
-#: One representative event mix per loop iteration (mirrors the dominant
-#: kinds in a contended run: cache activity, a message, a CAS, queueing).
-_FASTPATH_EVENTS_PER_ITER = 5
-
-
-def _emit_mix(bus, iters: int) -> float:
-    """The counters-only hot loop: emit the mix through the per-type
-    slots; returns wall seconds.  Identical slot calls serve both paths --
-    ``set_fast_path(False)`` turns every slot into construct-and-emit."""
-    l1_hit, l1_miss = bus.l1_hit, bus.l1_miss
-    message, cas, req_queued = bus.message, bus.cas, bus.req_queued
-    t0 = time.perf_counter()
-    for i in range(iters):
-        l1_hit(0, i & 1023)
-        l1_miss(1, i & 1023)
-        message(0, 1, "GetS", 2, False)
-        cas(0, 64, True)
-        req_queued(1, i & 1023, 3)
-    return time.perf_counter() - t0
-
-
-def _counter_run_result(fast: bool):
-    """A small real machine run with the fast path toggled -- the
-    byte-identity half of the A/B."""
-    from ..structures import LockedCounter
-
-    m = Machine(_lease_config(4))
-    m.trace.set_fast_path(fast)
-    counter = LockedCounter(m, lock="tts")
-    for _ in range(4):
-        m.add_thread(counter.update_worker, 30)
-    m.run()
-    return m.result("counter")
-
-
-def bench_trace_fastpath(quick: bool, fault_spec: str = "",
-                         seed: int | None = None) -> dict:
-    """Fast vs slow emit path on the counters-only hot loop (self-timed).
-    Pure emit-path A/B with a fixed fault-free machine run, so
-    ``fault_spec`` and ``seed`` are ignored.
-
-    Asserts the two paths are bit-identical -- equal :class:`Counters`
-    from the raw emit storm AND equal :class:`RunResult` from a real
-    machine run -- then reports the wall-clock improvement the fast path
-    buys.  This is the regression guard for the optimization the whole
-    bench subsystem exists to protect.
-    """
-    from ..trace import CountersTracer, TraceBus
-
-    iters = 60_000 if quick else 200_000
-
-    fast_bus = TraceBus(sinks=(CountersTracer(),))
-    slow_bus = TraceBus(sinks=(CountersTracer(),))
-    slow_bus.set_fast_path(False)
-    fast_s = _emit_mix(fast_bus, iters)
-    slow_s = _emit_mix(slow_bus, iters)
-    if fast_bus.sinks[0].counters != slow_bus.sinks[0].counters:
-        raise AssertionError(
-            "fast/slow emit paths diverged on the raw counter storm")
-
-    res_fast = _counter_run_result(True)
-    res_slow = _counter_run_result(False)
-    if res_fast != res_slow:
-        raise AssertionError(
-            "fast/slow emit paths produced different RunResults")
-
-    events = iters * _FASTPATH_EVENTS_PER_ITER
-    improvement = (1.0 - fast_s / slow_s) * 100.0 if slow_s > 0 else 0.0
-    return {
-        "ops": events, "events": events,
-        "wall_seconds": fast_s,
-        "extra": {
-            "slow_wall_seconds": round(slow_s, 6),
-            "improvement_pct": round(improvement, 1),
-            "run_result_identical": True,
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
 # Contended interconnect: lease vs baseline under saturating links
 # ---------------------------------------------------------------------------
 
@@ -675,8 +587,6 @@ TARGETS: dict[str, BenchTarget] = {
                     "lease)", bench_sweep_cell),
         BenchTarget("sync_ablation", "contention zoo: 6 policies x 3 "
                     "structures", bench_sync_ablation),
-        BenchTarget("trace_fastpath", "counters-only emit hot loop, fast "
-                    "vs slow path", bench_trace_fastpath),
         BenchTarget("fault_degradation", "Treiber throughput vs "
                     "escalating fault rate", bench_fault_degradation),
         BenchTarget("snapshot_roundtrip", "mid-run checkpoint save + "

@@ -57,6 +57,9 @@ DEFAULT_DELAY_MAX = 150
 #: Default weather-roll period for ``partition`` clauses (cycles).
 DEFAULT_PARTITION_CHECK = 500
 
+#: Error-message prefix of this grammar.
+_FAMILY = "cluster spec"
+
 
 @dataclass(frozen=True)
 class ClusterFaultSpec:
@@ -101,38 +104,40 @@ def parse_cluster_spec(spec: str) -> ClusterFaultSpec:
             raise ConfigError(f"cluster spec: duplicate clause {name!r}")
         seen.add(name)
         if name == "delay":
-            params = _parse_params(clause, body, ("min", "max"))
+            params = _parse_params(_FAMILY, clause, body, ("min", "max"))
             if "min" not in params or "max" not in params:
                 raise ConfigError(
                     f"cluster spec: {clause}: needs min=<cycles>,"
                     "max=<cycles>")
-            lo = _parse_int(clause, "min", params["min"], min_val=1)
-            hi = _parse_int(clause, "max", params["max"], min_val=1)
+            lo = _parse_int(_FAMILY, clause, "min", params["min"], min_val=1)
+            hi = _parse_int(_FAMILY, clause, "max", params["max"], min_val=1)
             if hi < lo:
                 raise ConfigError(
                     f"cluster spec: {clause}: max={hi} < min={lo}")
             fields["delay_min"], fields["delay_max"] = lo, hi
         elif name == "loss":
-            params = _parse_params(clause, body, ("p",))
+            params = _parse_params(_FAMILY, clause, body, ("p",))
             if "p" not in params:
                 raise ConfigError(f"cluster spec: {clause}: needs p=<prob>")
-            fields["loss_p"] = _parse_prob(clause, "p", params["p"])
+            fields["loss_p"] = _parse_prob(_FAMILY, clause, "p", params["p"])
         elif name == "dup":
-            params = _parse_params(clause, body, ("p",))
+            params = _parse_params(_FAMILY, clause, body, ("p",))
             if "p" not in params:
                 raise ConfigError(f"cluster spec: {clause}: needs p=<prob>")
-            fields["dup_p"] = _parse_prob(clause, "p", params["p"])
+            fields["dup_p"] = _parse_prob(_FAMILY, clause, "p", params["p"])
         elif name == "partition":
-            params = _parse_params(clause, body, ("p", "len", "check"))
+            params = _parse_params(_FAMILY, clause, body,
+                                   ("p", "len", "check"))
             if "p" not in params or "len" not in params:
                 raise ConfigError(
                     f"cluster spec: {clause}: needs p=<prob>,len=<cycles>")
-            fields["partition_p"] = _parse_prob(clause, "p", params["p"])
+            fields["partition_p"] = _parse_prob(
+                _FAMILY, clause, "p", params["p"])
             fields["partition_len"] = _parse_int(
-                clause, "len", params["len"], min_val=1)
+                _FAMILY, clause, "len", params["len"], min_val=1)
             if "check" in params:
                 fields["partition_check"] = _parse_int(
-                    clause, "check", params["check"], min_val=1)
+                    _FAMILY, clause, "check", params["check"], min_val=1)
         elif name == "skew":
             value = body
             if value.lower().startswith("max="):
@@ -142,7 +147,8 @@ def parse_cluster_spec(spec: str) -> ClusterFaultSpec:
             if not value:
                 raise ConfigError(
                     f"cluster spec: {clause}: needs a skew bound in cycles")
-            fields["skew"] = _parse_int(clause, "skew", value, min_val=0)
+            fields["skew"] = _parse_int(_FAMILY, clause, "skew", value,
+                                        min_val=0)
         else:
             raise ConfigError(
                 f"cluster spec: unknown clause {name!r} (known: delay, "

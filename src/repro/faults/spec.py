@@ -55,6 +55,9 @@ __all__ = ["FaultSpec", "parse_fault_spec"]
 #: high ``p`` cannot livelock the directory.
 DEFAULT_NACK_RETRIES = 8
 
+#: Error-message prefix of this grammar.
+_FAMILY = "fault spec"
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -83,31 +86,36 @@ class FaultSpec:
                 and self.link_degrade_p == 0.0)
 
 
-def _parse_prob(clause: str, key: str, value: str) -> float:
+# The cluster and traffic grammars share these helpers; ``family`` is the
+# error-message prefix ("fault spec", "cluster spec", "traffic spec").
+
+def _parse_prob(family: str, clause: str, key: str, value: str) -> float:
     try:
         p = float(value)
     except ValueError:
         raise ConfigError(
-            f"fault spec: {clause}: {key} must be a float, got {value!r}")
+            f"{family}: {clause}: {key} must be a float, got {value!r}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(
-            f"fault spec: {clause}: {key}={p} out of range [0, 1]")
+            f"{family}: {clause}: {key}={p} out of range [0, 1]")
     return p
 
 
-def _parse_int(clause: str, key: str, value: str, *, min_val: int = 0) -> int:
+def _parse_int(family: str, clause: str, key: str, value: str, *,
+               min_val: int = 0) -> int:
     try:
         n = int(value)
     except ValueError:
         raise ConfigError(
-            f"fault spec: {clause}: {key} must be an int, got {value!r}")
+            f"{family}: {clause}: {key} must be an int, got {value!r}")
     if n < min_val:
         raise ConfigError(
-            f"fault spec: {clause}: {key}={n} must be >= {min_val}")
+            f"{family}: {clause}: {key}={n} must be >= {min_val}")
     return n
 
 
-def _parse_params(clause: str, body: str, allowed: tuple[str, ...]) -> dict:
+def _parse_params(family: str, clause: str, body: str,
+                  allowed: tuple[str, ...]) -> dict:
     params: dict[str, str] = {}
     for part in body.split(","):
         part = part.strip()
@@ -115,15 +123,15 @@ def _parse_params(clause: str, body: str, allowed: tuple[str, ...]) -> dict:
             continue
         if "=" not in part:
             raise ConfigError(
-                f"fault spec: {clause}: expected key=value, got {part!r}")
+                f"{family}: {clause}: expected key=value, got {part!r}")
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in allowed:
             raise ConfigError(
-                f"fault spec: {clause}: unknown parameter {key!r} "
+                f"{family}: {clause}: unknown parameter {key!r} "
                 f"(allowed: {', '.join(allowed)})")
         if key in params:
-            raise ConfigError(f"fault spec: {clause}: duplicate {key!r}")
+            raise ConfigError(f"{family}: {clause}: duplicate {key!r}")
         params[key] = value.strip()
     return params
 
@@ -139,11 +147,11 @@ def _parse_slow_cores(clause: str, body: str) -> tuple[tuple[int, int], ...]:
                 f"fault spec: {clause}: expected <core>@<mult>x, "
                 f"got {part!r}")
         core_s, _, mult_s = part.partition("@")
-        core = _parse_int(clause, "core", core_s.strip(), min_val=0)
+        core = _parse_int(_FAMILY, clause, "core", core_s.strip(), min_val=0)
         mult_s = mult_s.strip()
         if mult_s.lower().endswith("x"):
             mult_s = mult_s[:-1]
-        mult = _parse_int(clause, "multiplier", mult_s, min_val=1)
+        mult = _parse_int(_FAMILY, clause, "multiplier", mult_s, min_val=1)
         if core in cores:
             raise ConfigError(f"fault spec: {clause}: core {core} "
                               f"listed twice")
@@ -169,21 +177,23 @@ def parse_fault_spec(spec: str) -> FaultSpec:
             raise ConfigError(f"fault spec: duplicate clause {name!r}")
         seen.add(name)
         if name == "net_jitter":
-            params = _parse_params(clause, body, ("p", "max"))
+            params = _parse_params(_FAMILY, clause, body, ("p", "max"))
             if "p" not in params or "max" not in params:
                 raise ConfigError(
                     f"fault spec: {clause}: needs p=<prob>,max=<cycles>")
-            fields["net_jitter_p"] = _parse_prob(clause, "p", params["p"])
+            fields["net_jitter_p"] = _parse_prob(
+                _FAMILY, clause, "p", params["p"])
             fields["net_jitter_max"] = _parse_int(
-                clause, "max", params["max"], min_val=1)
+                _FAMILY, clause, "max", params["max"], min_val=1)
         elif name == "dir_nack":
-            params = _parse_params(clause, body, ("p", "retries"))
+            params = _parse_params(_FAMILY, clause, body, ("p", "retries"))
             if "p" not in params:
                 raise ConfigError(f"fault spec: {clause}: needs p=<prob>")
-            fields["dir_nack_p"] = _parse_prob(clause, "p", params["p"])
+            fields["dir_nack_p"] = _parse_prob(
+                _FAMILY, clause, "p", params["p"])
             if "retries" in params:
                 fields["dir_nack_retries"] = _parse_int(
-                    clause, "retries", params["retries"], min_val=1)
+                    _FAMILY, clause, "retries", params["retries"], min_val=1)
         elif name == "timer_skew":
             value = body
             if value.lower().startswith("max="):
@@ -193,7 +203,7 @@ def parse_fault_spec(spec: str) -> FaultSpec:
             if not value:
                 raise ConfigError(
                     f"fault spec: {clause}: needs a skew bound in cycles")
-            fields["timer_skew"] = _parse_int(clause, "skew", value,
+            fields["timer_skew"] = _parse_int(_FAMILY, clause, "skew", value,
                                               min_val=0)
         elif name == "slow_core":
             if not body:
@@ -201,16 +211,18 @@ def parse_fault_spec(spec: str) -> FaultSpec:
                     f"fault spec: {clause}: needs <core>@<mult>x entries")
             fields["slow_cores"] = _parse_slow_cores(clause, body)
         elif name == "link_degrade":
-            params = _parse_params(clause, body, ("p", "factor", "queue"))
+            params = _parse_params(_FAMILY, clause, body,
+                                   ("p", "factor", "queue"))
             if "p" not in params:
                 raise ConfigError(f"fault spec: {clause}: needs p=<prob>")
-            fields["link_degrade_p"] = _parse_prob(clause, "p", params["p"])
+            fields["link_degrade_p"] = _parse_prob(
+                _FAMILY, clause, "p", params["p"])
             if "factor" in params:
                 fields["link_degrade_factor"] = _parse_int(
-                    clause, "factor", params["factor"], min_val=2)
+                    _FAMILY, clause, "factor", params["factor"], min_val=2)
             if "queue" in params:
                 fields["link_degrade_queue"] = _parse_int(
-                    clause, "queue", params["queue"], min_val=1)
+                    _FAMILY, clause, "queue", params["queue"], min_val=1)
         else:
             raise ConfigError(
                 f"fault spec: unknown clause {name!r} (known: net_jitter, "

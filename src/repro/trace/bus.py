@@ -16,8 +16,8 @@ Observation must never perturb the simulation: sinks only read machine
 state, never schedule events or mutate it, so a run's ``RunResult`` is
 bit-identical whatever sinks are attached (the test suite asserts this).
 
-The fast path
--------------
+Emit slots
+----------
 
 Constructing a :class:`~repro.trace.events.TraceEvent` object per
 observable action is pure overhead when nothing attached wants the
@@ -39,13 +39,12 @@ implementation the attached sinks allow:
   with no event object, no clock stamp, no fan-out loop;
 * **any sink that needs the object** (JSONL/ring capture, invariant
   checker, history recorder, any sink whose :meth:`Tracer.interests`
-  is ``None``) -> the classic slow path: construct the event once and
-  :meth:`TraceBus.emit` it to every sink in attachment order.
+  is ``None``) -> construct the event once and :meth:`TraceBus.emit` it
+  to every sink in attachment order.  A sink with a fast handler for
+  that type then gets the object in ``on_event`` and must fold it the
+  same way (``CountersTracer`` passes the event's slots to the very same
+  handler), so results are bit-identical whichever sinks are attached.
 
-Both paths update the same counters by the same arithmetic, so results
-are bit-identical; ``set_fast_path(False)`` forces the slow path
-everywhere (the perf-regression bench uses this for A/B timing, and the
-test suite asserts ``RunResult`` equality across the toggle).
 ``wants(EventType)`` tells an emitting layer whether anything would
 receive the constructed object -- the guard to use before computing an
 expensive payload.
@@ -98,8 +97,8 @@ class Tracer:
 
     def fast_handlers(self) -> Mapping[type, Callable[..., None]]:
         """Payload-level handlers for types consumable without an event
-        object.  Types covered here are excluded from object delivery
-        while the fast path is enabled."""
+        object.  A covered type reaches ``on_event`` only when another
+        attached sink needs its objects."""
         return {}
 
 
@@ -132,7 +131,6 @@ class TraceBus:
                  sinks: Iterable[Tracer] = ()) -> None:
         self.clock = clock or (lambda: 0)
         self._sinks: list[Tracer] = list(sinks)
-        self._fast_enabled = True
         self._muted = False
         self._obj_types: frozenset[type] = frozenset()
         self._rebuild_slots()
@@ -154,20 +152,6 @@ class TraceBus:
     @property
     def sinks(self) -> tuple[Tracer, ...]:
         return tuple(self._sinks)
-
-    # -- fast-path control ---------------------------------------------------
-
-    @property
-    def fast_path_enabled(self) -> bool:
-        return self._fast_enabled
-
-    def set_fast_path(self, enabled: bool) -> None:
-        """Enable/disable the allocation-free fast path.  Disabled, every
-        slot constructs its event object and runs the full ``emit`` fan-out
-        (the pre-fast-path behavior); results are bit-identical either way.
-        The perf-regression bench uses this toggle for A/B timing."""
-        self._fast_enabled = bool(enabled)
-        self._rebuild_slots()
 
     def wants(self, event_type: type) -> bool:
         """True when some attached sink would receive a constructed
@@ -211,14 +195,13 @@ class TraceBus:
 
     def _rebuild_slots(self) -> None:
         """Re-derive one emit slot per event type from the attached sinks.
-        Runs on attach/detach/toggle only -- never on the hot path."""
+        Runs on attach/detach/mute only -- never on the hot path."""
         if self._muted:
             for cls in EVENT_TYPES:
                 setattr(self, cls.kind, _noop)
             self._obj_types = frozenset()
             return
-        per_sink = [(s.fast_handlers() if self._fast_enabled else {},
-                     s.interests()) for s in self._sinks]
+        per_sink = [(s.fast_handlers(), s.interests()) for s in self._sinks]
         obj_types = set()
         for cls in EVENT_TYPES:
             fast = []

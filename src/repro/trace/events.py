@@ -8,9 +8,11 @@ below.  Hot-path code constructs an event and hands it to the machine's
 heatmaps, invariant checkers) consume the stream.
 
 Events are plain ``__slots__`` objects: cheap to construct, and
-``to_dict()`` flattens them for JSONL serialization.  The ``t`` field (the
-simulation cycle) is stamped by the bus at emit time, so call sites never
-pass timestamps.
+``to_dict()`` flattens them for JSONL serialization.  Each class lists its
+payload slots in constructor order: the counters sink passes an event's
+slot values to a handler with the constructor's signature.  The ``t``
+field (the simulation cycle) is stamped by the bus at emit time, so call
+sites never pass timestamps.
 
 Taxonomy overview (``kind`` strings):
 
@@ -28,8 +30,17 @@ network               ``message``
 interconnect          ``link_queued``, ``link_granted``, ``port_busy``
 synchronization       ``cas``, ``lock_attempt``, ``lock_failed``, ``stm``
 workload              ``op_completed``
+open-loop traffic     ``op_admitted``, ``op_shed``
 faults                ``fault_injected``, ``dir_nack``, ``retry_scheduled``
+checkpoints           ``checkpoint_saved``, ``checkpoint_restored``
+cluster network       ``node_msg``, ``node_msg_dropped``, ``node_msg_dup``
+cluster leases        ``paxos_round``, ``cluster_lease_acquired``,
+                      ``cluster_lease_expired``, ``cluster_lease_released``,
+                      ``cluster_guard_denied``
 ===================  ====================================================
+
+What each kind does to the flat counters is one row of
+:data:`repro.trace.sinks.COUNTER_RULES`.
 """
 
 from __future__ import annotations

@@ -63,8 +63,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..faults.spec import _parse_int as _fault_parse_int
-from ..faults.spec import _parse_prob as _fault_parse_prob
+from ..faults.spec import _parse_int, _parse_prob
 
 __all__ = ["TrafficSpec", "parse_traffic_spec"]
 
@@ -78,6 +77,9 @@ _ARRIVALS = ("poisson", "burst", "ramp")
 _KEYS = ("uniform", "zipf", "hotset")
 _SCALARS = ("tenants", "queue", "ops")
 _CLAUSES = _ARRIVALS + _KEYS + _SCALARS + ("slo",)
+
+#: Error-message prefix of this grammar.
+_FAMILY = "traffic spec"
 
 
 @dataclass(frozen=True)
@@ -113,23 +115,6 @@ class TrafficSpec:
     def has_slo(self) -> bool:
         return (self.slo_p99 is not None or self.slo_p999 is not None
                 or self.slo_shed is not None)
-
-
-def _parse_int(clause: str, key: str, value: str, *, min_val: int = 0) -> int:
-    # The fault-spec helpers carry the wrong family name in their error
-    # prefix; re-raise with ours so a typo'd --traffic never reports
-    # itself as a fault-spec problem.
-    try:
-        return _fault_parse_int(clause, key, value, min_val=min_val)
-    except ConfigError as err:
-        raise ConfigError(str(err).replace("fault spec:", "traffic spec:", 1))
-
-
-def _parse_prob(clause: str, key: str, value: str) -> float:
-    try:
-        return _fault_parse_prob(clause, key, value)
-    except ConfigError as err:
-        raise ConfigError(str(err).replace("fault spec:", "traffic spec:", 1))
 
 
 def _parse_rate(clause: str, value: str) -> float:
@@ -226,9 +211,9 @@ def parse_traffic_spec(spec: str) -> TrafficSpec:
                         "on=<cycles>,off=<cycles>")
                 fields["rate"] = _parse_rate(clause, params["rate"])
                 fields["on_cycles"] = _parse_int(
-                    clause, "on", params["on"], min_val=1)
+                    _FAMILY, clause, "on", params["on"], min_val=1)
                 fields["off_cycles"] = _parse_int(
-                    clause, "off", params["off"], min_val=1)
+                    _FAMILY, clause, "off", params["off"], min_val=1)
             else:  # ramp
                 params = _params(clause, parts, ("rate", "period"))
                 if not {"rate", "period"} <= params.keys():
@@ -237,7 +222,7 @@ def parse_traffic_spec(spec: str) -> TrafficSpec:
                         "period=<cycles>")
                 fields["rate"] = _parse_rate(clause, params["rate"])
                 fields["period"] = _parse_int(
-                    clause, "period", params["period"], min_val=2)
+                    _FAMILY, clause, "period", params["period"], min_val=2)
         elif name in _KEYS:
             if seen_keys:
                 raise ConfigError(
@@ -268,13 +253,13 @@ def parse_traffic_spec(spec: str) -> TrafficSpec:
                     raise ConfigError(
                         f"traffic spec: {clause}: needs frac=<prob>,"
                         "size=<keys>")
-                fields["hot_frac"] = _parse_prob(clause, "frac",
+                fields["hot_frac"] = _parse_prob(_FAMILY, clause, "frac",
                                                  params["frac"])
                 fields["hot_size"] = _parse_int(
-                    clause, "size", params["size"], min_val=1)
+                    _FAMILY, clause, "size", params["size"], min_val=1)
                 if "shift" in params:
                     fields["hot_shift"] = _parse_int(
-                        clause, "shift", params["shift"], min_val=1)
+                        _FAMILY, clause, "shift", params["shift"], min_val=1)
         elif name in _SCALARS:
             # Accept both tenants=2 and tenants:2 / queue:depth=8.
             if not colon and "=" in head_token:
@@ -293,7 +278,7 @@ def parse_traffic_spec(spec: str) -> TrafficSpec:
             field_name = {"tenants": "tenants", "queue": "queue_depth",
                           "ops": "ops"}[name]
             fields[field_name] = _parse_int(
-                clause, name, value, min_val=1)
+                _FAMILY, clause, name, value, min_val=1)
         else:  # slo
             params = _params(clause, parts, ("p99", "p999", "shed"))
             if not params:
@@ -302,13 +287,13 @@ def parse_traffic_spec(spec: str) -> TrafficSpec:
                     "p99=<cycles>, p999=<cycles>, shed=<frac>")
             if "p99" in params:
                 fields["slo_p99"] = _parse_int(
-                    clause, "p99", params["p99"], min_val=1)
+                    _FAMILY, clause, "p99", params["p99"], min_val=1)
             if "p999" in params:
                 fields["slo_p999"] = _parse_int(
-                    clause, "p999", params["p999"], min_val=1)
+                    _FAMILY, clause, "p999", params["p999"], min_val=1)
             if "shed" in params:
                 fields["slo_shed"] = _parse_prob(
-                    clause, "shed", params["shed"])
+                    _FAMILY, clause, "shed", params["shed"])
     if spec and not seen_arrival:
         raise ConfigError(
             "traffic spec: needs an arrival clause "

@@ -40,8 +40,7 @@ def test_record_schema(record):
 def test_all_targets_registered():
     assert set(bench.TARGETS) == {
         "event_queue", "coherence_storm", "treiber", "counter",
-        "sweep_cell", "sync_ablation", "trace_fastpath",
-        "fault_degradation", "snapshot_roundtrip", "cluster_scale",
+        "sweep_cell", "sync_ablation", "fault_degradation", "snapshot_roundtrip", "cluster_scale",
         "tail_latency", "link_saturation"}
     assert bench.default_target_names() == list(bench.TARGETS)
 

@@ -53,9 +53,13 @@ def test_parse_cluster_spec_empty_means_reliable():
     "loss:p=0.1;loss:p=0.2",
     "partition:p=0.1",          # missing len
     "delay:min=100,max=50",     # inverted range
+    "loss:p=x",                 # not a float
+    "loss:q=1",                 # unknown parameter
+    "delay:min=0,max=5",        # below the minimum
+    "skew:±x",                  # not an int
 ])
 def test_parse_cluster_spec_rejects(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^cluster spec:"):
         parse_cluster_spec(bad)
 
 

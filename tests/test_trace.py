@@ -1,16 +1,23 @@
 """The instrumentation bus: taxonomy, sinks, reconciliation, invariants."""
 
+import dataclasses
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Machine, MachineConfig
+from repro.coherence.messages import MessageKind
 from repro.errors import ProtocolError
+from repro.stats import Counters
 from repro.trace import (ContentionHeatmap, CountersTracer, InvariantTracer,
                          JsonlTracer, NullTracer, RingBufferTracer, TraceBus,
                          reconcile)
 from repro.trace import events as ev
+from repro.trace.bus import EVENT_TYPES
+from repro.trace.sinks import COUNTER_RULES, RECONCILE_PAIRS
 from repro.workloads.driver import bench_counter, bench_queue, bench_stack
 
 from conftest import make_machine
@@ -34,8 +41,9 @@ def test_every_event_kind_is_unique():
 
 
 def test_lease_release_modes_cover_counter_fields():
-    assert set(ev.LeaseReleased.MODES) == {
-        "voluntary", "expired", "broken", "fifo"}
+    (term,) = COUNTER_RULES[ev.LeaseReleased]
+    assert term.field == "mode"
+    assert sorted(term.values) == sorted(ev.LeaseReleased.MODES)
 
 
 # -- bus --------------------------------------------------------------------
@@ -91,12 +99,96 @@ def test_counters_sink_rebuilds_classic_counters():
     assert k.ops_completed == 1 and k.per_core_ops == {1: 1}
 
 
+# -- the counter table ------------------------------------------------------
+
+#: The event kinds no counter reads.
+UNCOUNTED = {ev.ReqGranted, ev.EvictionIssued, ev.EvictionApplied}
+
+#: Every value an enumerated payload field takes (what a split must cover).
+ENUMS = {"req": (MessageKind.GETS.val, MessageKind.GETX.val),
+         "probe": (MessageKind.INV.val, MessageKind.DOWNGRADE.val),
+         "mode": ev.LeaseReleased.MODES}
+
+
+def _written(terms):
+    return {c for t in terms for c in t.counters}
+
+
+def test_every_event_type_is_a_row_or_uncounted():
+    assert set(EVENT_TYPES) == set(COUNTER_RULES) | UNCOUNTED
+    assert not UNCOUNTED & set(COUNTER_RULES)
+
+
+def test_rows_write_exactly_the_counters_fields():
+    k = Counters()
+    scalars = {f.name for f in dataclasses.fields(k)
+               if isinstance(getattr(k, f.name), int)}
+    written = set().union(*map(_written, COUNTER_RULES.values()))
+    assert written == scalars | {"per_core_ops"}
+
+
+def test_splits_cover_their_fields():
+    splits = {t.field: t.values for terms in COUNTER_RULES.values()
+              for t in terms if t.op == "split"}
+    for field, values in splits.items():
+        domain = ENUMS.get(field, (True, False))
+        assert sorted(values, key=str) == sorted(domain, key=str), field
+
+
+def _apply(k, term, payload):
+    """Reference semantics of one table term (what the compiled handlers
+    must reproduce)."""
+    v = payload.get(term.field)
+    c = term.counters[0]
+    if term.op == "add":
+        setattr(k, c, getattr(k, c) + v)
+    elif term.op == "peak":
+        setattr(k, c, max(getattr(k, c), v))
+    elif term.op == "tally":
+        getattr(k, c)[v] = getattr(k, c).get(v, 0) + 1
+    else:
+        if term.op == "split":
+            c = next(c for value, c in zip(term.values, term.counters)
+                     if (bool(v) if isinstance(value, bool) else v) == value)
+        elif term.op == "when" and not v or term.op == "unless" and v:
+            return
+        setattr(k, c, getattr(k, c) + 1)
+
+
+def _payloads(cls):
+    return st.lists(st.fixed_dictionaries({
+        name: (st.sampled_from(ENUMS[name]) if name in ENUMS
+               else st.one_of(st.booleans(), st.integers(0, 64)))
+        for name in cls.__slots__}), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("cls", list(COUNTER_RULES), ids=lambda c: c.kind)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_row_paths_agree(cls, data):
+    """Positional slot calls, keyword slot calls and object delivery all
+    run the same compiled row, and it does what the table says."""
+    payloads = data.draw(_payloads(cls))
+    positional, keyword = (TraceBus(sinks=(CountersTracer(),))
+                           for _ in range(2))
+    objects = CountersTracer()
+    expected = Counters()
+    for p in payloads:
+        getattr(positional, cls.kind)(*[p[s] for s in cls.__slots__])
+        getattr(keyword, cls.kind)(**p)
+        objects.on_event(cls(**p))
+        for term in COUNTER_RULES[cls]:
+            _apply(expected, term, p)
+    assert positional.sinks[0].counters == expected
+    assert keyword.sinks[0].counters == expected
+    assert objects.counters == expected
+
+
 # -- the fast path ----------------------------------------------------------
 
 def test_counters_only_bus_skips_event_objects():
     # With only fast-handler sinks attached, no type needs the object...
     bus = TraceBus(sinks=(CountersTracer(),))
-    assert bus.fast_path_enabled
     assert not bus.wants(ev.L1Hit)
     assert not bus.wants(ev.MessageSent)
     # ...yet the slots still feed the counters.
@@ -104,26 +196,6 @@ def test_counters_only_bus_skips_event_objects():
     bus.message(0, 3, "GetS", 2, False)
     k = bus.sinks[0].counters
     assert k.l1_hits == 1 and k.messages == 1 and k.hops == 2
-
-
-def test_fast_and_slow_slots_build_identical_counters():
-    def storm(bus):
-        for i in range(50):
-            bus.l1_hit(0, i)
-            bus.l1_miss(1, i)
-            bus.message(0, 1, "GetX", 3, True)
-            bus.req_queued(1, i, i % 7)
-            bus.cas(0, 64, i % 3 == 0)
-            bus.lease_released(0, i, "voluntary")
-            bus.op_completed(i % 4)
-
-    fast, slow = TraceBus(sinks=(CountersTracer(),)), \
-        TraceBus(sinks=(CountersTracer(),))
-    slow.set_fast_path(False)
-    assert slow.wants(ev.L1Hit)     # slow path constructs every object
-    storm(fast)
-    storm(slow)
-    assert fast.sinks[0].counters == slow.sinks[0].counters
 
 
 def test_object_sink_forces_slow_slot_for_its_types_only():
@@ -150,20 +222,6 @@ def test_ring_buffer_keeps_every_type_on_slow_path():
     bus.l1_hit(0, 9)
     (e,) = ring.events()
     assert isinstance(e, ev.L1Hit) and e.t == 42 and e.line == 9
-
-
-def test_run_result_identical_across_fast_path_toggle():
-    def run(fast):
-        from repro.structures import LockedCounter
-        m = Machine(MachineConfig(num_cores=4))
-        m.trace.set_fast_path(fast)
-        counter = LockedCounter(m, lock="tts")
-        for _ in range(4):
-            m.add_thread(counter.update_worker, 20)
-        m.run()
-        return m.result("c")
-
-    assert run(True) == run(False)
 
 
 def test_every_event_kind_has_a_bus_slot():
@@ -208,6 +266,34 @@ def test_reconcile_reports_mismatches():
     res = bench_stack(2, variant="base", ops_per_thread=10)
     problems = reconcile({"message": 0}, res.counters)
     assert any(p.startswith("messages:") for p in problems)
+
+
+@pytest.fixture(scope="module")
+def traced_stack():
+    ring = RingBufferTracer(capacity=1)
+    res = bench_stack(4, variant="lease", ops_per_thread=20, sinks=[ring])
+    return ring.counts, res.counters
+
+
+@pytest.mark.parametrize("names", [names for _, names in RECONCILE_PAIRS],
+                         ids="+".join)
+def test_reconcile_catches_each_miscounted_pair(traced_stack, names):
+    counts, snap = traced_stack
+    assert reconcile(counts, snap) == []
+    bumped = {**snap, names[0]: snap[names[0]] + 1}
+    assert [p.split(":")[0] for p in reconcile(counts, bumped)] == [
+        "+".join(names)]
+
+
+def test_unreconciled_counters_are_the_payload_dependent_ones():
+    written = set().union(*map(_written, COUNTER_RULES.values()))
+    checked = {c for _, names in RECONCILE_PAIRS for c in names}
+    assert written - checked == {
+        "hops", "data_messages", "dram_accesses", "link_flits",
+        "link_stall_cycles", "dir_max_queue_depth", "stale_probes",
+        "multilease_ignored", "cas_failures", "per_core_ops",
+        # excluded from snapshot(), which is what reconcile() reads
+        "checkpoints_saved", "checkpoints_restored"}
 
 
 def test_jsonl_max_events_truncates_file_not_counts():
