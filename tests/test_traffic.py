@@ -81,6 +81,15 @@ class TestSpecParse:
         ("poisson:rate=1,queue=x", "queue"),
         ("poisson:rate=1,rate=9", "duplicate"),
         ("poisson:rate=1,frob=2", "unknown parameter"),
+        ("poisson:rate=1,tenants=2,zz=3", "expected tenants=<int>"),
+        ("poisson:rate=2,queue=8,p99=100", "expected queue=<int>"),
+        ("poisson:rate=1,ops=5,rate=9", "expected ops=<int>"),
+        ("poisson=3,rate=1", "unknown parameter 'poisson'"),
+        ("poisson:rate=nan", "must be finite"),
+        ("poisson:rate=inf", "must be finite"),
+        ("poisson:rate=1e400", "must be finite"),
+        ("poisson:rate=1,zipf:s=nan", "must be finite"),
+        ("poisson:rate=1,zipf:s=inf", "must be finite"),
     ])
     def test_rejects(self, bad, msg):
         with pytest.raises(ConfigError, match="traffic spec:") as exc:
@@ -281,6 +290,15 @@ class TestCliGate:
                    "--traffic", "bogus:rate=2"])
         assert rc == 2
         assert "--traffic:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        "poisson:rate=2,queue=8,p99=100,ops=5",   # missing slo:
+        "poisson:rate=nan",
+    ])
+    def test_strict_grammar_exits_two(self, spec, capsys):
+        rc = main(["run", "counter", "--threads", "2", "--traffic", spec])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("--traffic: traffic spec:")
 
     def test_closed_loop_experiment_rejects_traffic(self, capsys):
         rc = main(["run", "fig5_pagerank", "--threads", "2",
