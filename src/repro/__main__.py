@@ -87,11 +87,15 @@ import dataclasses
 import json
 import sys
 
+from .cluster import parse_cluster_spec
+from .coherence.links import parse_network_spec
 from .config import MachineConfig
+from .faults import parse_fault_spec
 from .harness import EXPERIMENTS, run_experiment
 from .harness.runner import PAPER_THREAD_COUNTS, series_table
 from .trace import (ContentionHeatmap, InvariantTracer, JsonlTracer,
                     reconcile)
+from .traffic import parse_traffic_spec
 
 
 class _CliError(Exception):
@@ -165,55 +169,24 @@ def _parse_nodes(spec: str) -> int:
     return n
 
 
-def _parse_cluster_spec(spec: str) -> str:
-    """Validate a ``--cluster`` inter-node fault spec string."""
-    from .cluster import parse_cluster_spec
+#: The spec-string options and their grammars (see :mod:`repro.spec`).
+_SPEC_PARSERS = {"--cluster": parse_cluster_spec, "--faults": parse_fault_spec,
+                 "--network": parse_network_spec,
+                 "--traffic": parse_traffic_spec}
+
+
+def _parse_spec(flag: str, spec: str) -> str:
+    """Validate a spec-string option, naming the flag in any error.  Only
+    the grammar is checked; per-machine range checks like slow-core ids
+    happen in MachineConfig.validate.  ``--traffic`` must also give an
+    arrival clause."""
     from .errors import ConfigError
 
     try:
-        parse_cluster_spec(spec)
+        parsed = _SPEC_PARSERS[flag](spec)
     except ConfigError as err:
-        raise _CliError(f"--cluster: {err}") from None
-    return spec
-
-
-def _parse_faults(spec: str) -> str:
-    """Validate a ``--faults`` spec string (grammar only; per-machine
-    range checks like slow-core ids happen in MachineConfig.validate)."""
-    from .errors import ConfigError
-    from .faults import parse_fault_spec
-
-    try:
-        parse_fault_spec(spec)
-    except ConfigError as err:
-        raise _CliError(f"--faults: {err}") from None
-    return spec
-
-
-def _parse_network(spec: str) -> str:
-    """Validate a ``--network`` contended-interconnect spec string (see
-    :mod:`repro.coherence.links`)."""
-    from .coherence.links import parse_network_spec
-    from .errors import ConfigError
-
-    try:
-        parse_network_spec(spec)
-    except ConfigError as err:
-        raise _CliError(f"--network: {err}") from None
-    return spec
-
-
-def _parse_traffic(spec: str) -> str:
-    """Validate a ``--traffic`` open-loop arrival spec string (see
-    :mod:`repro.traffic`); an empty/arrival-free spec is a CLI error."""
-    from .errors import ConfigError
-    from .traffic import parse_traffic_spec
-
-    try:
-        parsed = parse_traffic_spec(spec)
-    except ConfigError as err:
-        raise _CliError(f"--traffic: {err}") from None
-    if parsed.empty:
+        raise _CliError(f"{flag}: {err}") from None
+    if flag == "--traffic" and parsed.empty:
         raise _CliError("--traffic: empty spec (give an arrival clause, "
                         "e.g. 'poisson:rate=2.0')")
     return spec
@@ -245,9 +218,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         overrides["seed"] = _parse_seed(args.seed)
     if args.faults:
-        overrides["faults"] = _parse_faults(args.faults)
+        overrides["faults"] = _parse_spec("--faults", args.faults)
     if args.network:
-        overrides["network"] = _parse_network(args.network)
+        overrides["network"] = _parse_spec("--network", args.network)
     if args.traffic:
         import inspect
 
@@ -256,7 +229,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--traffic: experiment {exp.id!r} has no open-loop "
                 "variant (try: counter, treiber, skiplist, or "
                 "cluster_shards)")
-        overrides["traffic"] = _parse_traffic(args.traffic)
+        overrides["traffic"] = _parse_spec("--traffic", args.traffic)
     if args.nodes is not None:
         if "nodes" not in exp.common:
             raise _CliError(
@@ -383,8 +356,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     exp = _get_experiment(args.experiment)
     threads = _parse_threads(args.threads)
     seed = _parse_seed(args.seed) if args.seed is not None else None
-    faults = _parse_faults(args.faults) if args.faults else None
-    network = _parse_network(args.network) if args.network else None
+    faults = _parse_spec("--faults", args.faults) if args.faults else None
+    network = (_parse_spec("--network", args.network) if args.network
+               else None)
     out_path = args.out or f"{args.experiment}.trace.jsonl"
     sinks = [JsonlTracer(out_path, max_events=args.limit)]
     jsonl = sinks[0]
@@ -524,7 +498,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "single-machine targets (counter, treiber); the cluster "
                 "campaign drives its own workload")
         nodes = _parse_nodes(args.nodes) if args.nodes is not None else None
-        spec = (_parse_cluster_spec(args.cluster)
+        spec = (_parse_spec("--cluster", args.cluster)
                 if args.cluster is not None else None)
         quorum = None
         if args.quorum is not None:
@@ -546,10 +520,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise _CliError(str(err)) from None
         return _report_campaign(report, args.save)
 
-    faults = _parse_faults(args.faults) if args.faults else ""
+    faults = _parse_spec("--faults", args.faults) if args.faults else ""
     if faults:
         print(f"fault campaign: {faults}")
-    traffic = _parse_traffic(args.traffic) if args.traffic else ""
+    traffic = _parse_spec("--traffic", args.traffic) if args.traffic else ""
     if traffic:
         print(f"open-loop traffic: {traffic}")
     try:
@@ -605,8 +579,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     jobs = _parse_jobs(args.jobs)
     seed = _parse_seed(args.seed) if args.seed is not None else None
-    fault_spec = _parse_faults(args.faults) if args.faults else ""
-    traffic = _parse_traffic(args.traffic) if args.traffic else ""
+    fault_spec = _parse_spec("--faults", args.faults) if args.faults else ""
+    traffic = _parse_spec("--traffic", args.traffic) if args.traffic else ""
     if args.repeats < 1:
         raise _CliError(f"--repeats: {args.repeats} is not a positive "
                         "repeat count")

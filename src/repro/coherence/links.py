@@ -20,8 +20,8 @@ is served next: :class:`FifoArbiter` (global arrival order),
 :class:`PriorityArbiter` (control before data).  A full bounded queue
 never drops: the offer is retried after a deterministic backoff.
 
-The spec grammar mirrors ``--faults`` (``;``-separated ``name:k=v,...``
-clauses)::
+The spec grammar is the ``--faults`` one (``;``-separated ``name:k=v,...``
+clauses, see :mod:`repro.spec`)::
 
     link:bw=2,queue=16,flits=4;arb:wrr,weights=2:1;port:dir=2,mem=4
 
@@ -37,12 +37,12 @@ seeded fault plan at build time).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from ..config import NetworkConfig
 from ..engine import Simulator
-from ..errors import ConfigError
+from ..spec import Clause, Grammar, Param, Row, at_least_one, integer
 from ..trace import TraceBus
 from .messages import MessageKind
 from .network import MeshNetwork
@@ -102,37 +102,37 @@ class NetSpec:
                 and self.mem_port == 0)
 
 
-def _net_int(clause: str, key: str, value: str, *, min_val: int = 0) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(
-            f"network spec: {clause}: {key} must be an int, got {value!r}")
-    if n < min_val:
-        raise ConfigError(
-            f"network spec: {clause}: {key}={n} must be >= {min_val}")
-    return n
+def _weights(c: Clause, key: str, text: str) -> tuple[int, ...]:
+    parts = text.split(":")
+    if len(parts) != NUM_FLOWS:
+        raise c.error(f"weights must be <control>:<data>, got {text!r}")
+    return tuple(integer(1)(c, key, p) for p in parts)
 
 
-def _net_params(clause: str, body: str, allowed: tuple[str, ...]) -> dict:
-    params: dict[str, str] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(
-                f"network spec: {clause}: expected key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise ConfigError(
-                f"network spec: {clause}: unknown parameter {key!r} "
-                f"(allowed: {', '.join(allowed)})")
-        if key in params:
-            raise ConfigError(f"network spec: {clause}: duplicate {key!r}")
-        params[key] = value.strip()
-    return params
+def _arb(c: Clause, fields: dict) -> None:
+    """``arb:<policy>[,weights=<control>:<data>]``."""
+    policy, _, rest = c.body.partition(",")
+    policy = policy.strip()
+    if policy not in ARBITERS:
+        raise c.error(f"unknown arbiter {policy!r} "
+                      f"(known: {', '.join(ARBITERS)})")
+    fields["arbiter"] = policy
+    given = replace(c, body=rest).params()
+    if given and policy != "wrr":
+        raise c.error("weights= only applies to arb:wrr")
+    fields.update(c.convert(given))
+
+
+_GRAMMAR = Grammar("network spec", NetSpec, (
+    Row("link", (Param("bw", "link_bw", integer(1), "<cycles per flit>"),
+                 Param("queue", "link_queue", integer(1)),
+                 Param("flits", "data_flits", integer(1)))),
+    Row("arb", (Param("weights", "wrr_weights", _weights),), _arb),
+    Row("port", (Param("dir", "dir_port", integer(1)),
+                 Param("mem", "mem_port", integer(1)),
+                 Param("queue", "port_queue", integer(1))),
+        at_least_one("dir=<cycles> and/or mem=<cycles>")),
+))
 
 
 def parse_network_spec(spec: str) -> NetSpec:
@@ -141,75 +141,7 @@ def parse_network_spec(spec: str) -> NetSpec:
     the plain contention-free mesh is built and behaviour is bit-identical
     to a build without the links module)."""
     spec = (spec or "").strip()
-    if spec.lower() == "infinite":
-        spec = ""
-    fields: dict = {"raw": spec}
-    seen: set[str] = set()
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        name, _, body = clause.partition(":")
-        name = name.strip()
-        body = body.strip()
-        if name in seen:
-            raise ConfigError(f"network spec: duplicate clause {name!r}")
-        seen.add(name)
-        if name == "link":
-            params = _net_params(clause, body, ("bw", "queue", "flits"))
-            if "bw" not in params:
-                raise ConfigError(
-                    f"network spec: {clause}: needs bw=<cycles per flit>")
-            fields["link_bw"] = _net_int(clause, "bw", params["bw"],
-                                         min_val=1)
-            if "queue" in params:
-                fields["link_queue"] = _net_int(
-                    clause, "queue", params["queue"], min_val=1)
-            if "flits" in params:
-                fields["data_flits"] = _net_int(
-                    clause, "flits", params["flits"], min_val=1)
-        elif name == "arb":
-            policy, _, rest = body.partition(",")
-            policy = policy.strip()
-            if policy not in ARBITERS:
-                raise ConfigError(
-                    f"network spec: {clause}: unknown arbiter {policy!r} "
-                    f"(known: {', '.join(ARBITERS)})")
-            fields["arbiter"] = policy
-            params = _net_params(clause, rest, ("weights",))
-            if "weights" in params:
-                if policy != "wrr":
-                    raise ConfigError(
-                        f"network spec: {clause}: weights= only applies "
-                        "to arb:wrr")
-                parts = params["weights"].split(":")
-                if len(parts) != NUM_FLOWS:
-                    raise ConfigError(
-                        f"network spec: {clause}: weights must be "
-                        f"<control>:<data>, got {params['weights']!r}")
-                fields["wrr_weights"] = tuple(
-                    _net_int(clause, "weights", p, min_val=1)
-                    for p in parts)
-        elif name == "port":
-            params = _net_params(clause, body, ("dir", "mem", "queue"))
-            if not params:
-                raise ConfigError(
-                    f"network spec: {clause}: needs dir=<cycles> and/or "
-                    "mem=<cycles>")
-            if "dir" in params:
-                fields["dir_port"] = _net_int(clause, "dir", params["dir"],
-                                              min_val=1)
-            if "mem" in params:
-                fields["mem_port"] = _net_int(clause, "mem", params["mem"],
-                                              min_val=1)
-            if "queue" in params:
-                fields["port_queue"] = _net_int(
-                    clause, "queue", params["queue"], min_val=1)
-        else:
-            raise ConfigError(
-                f"network spec: unknown clause {name!r} "
-                f"(known: link, arb, port)")
-    return NetSpec(**fields)
+    return _GRAMMAR.parse("" if spec.lower() == "infinite" else spec)
 
 
 # ---------------------------------------------------------------------------

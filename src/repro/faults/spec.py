@@ -37,16 +37,18 @@ Clauses
     ``--network`` spec; on the contention-free model there are no link
     resources to degrade, so the clause is a no-op.
 
-The parse is strict: unknown clause names, malformed parameters, and
-out-of-range values raise :class:`~repro.errors.ConfigError` so a typo'd
-``--faults`` flag fails fast instead of silently injecting nothing.
+The parse is strict (:mod:`repro.spec` holds the shared rules): unknown
+clause names, malformed parameters, and out-of-range values raise
+:class:`~repro.errors.ConfigError` so a typo'd ``--faults`` flag fails
+fast instead of silently injecting nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError
+from ..spec import (Clause, Grammar, Param, Row, integer, probability,
+                    skew_bound)
 
 __all__ = ["FaultSpec", "parse_fault_spec"]
 
@@ -54,9 +56,6 @@ __all__ = ["FaultSpec", "parse_fault_spec"]
 #: retried at most this many times before it is allowed through, so a
 #: high ``p`` cannot livelock the directory.
 DEFAULT_NACK_RETRIES = 8
-
-#: Error-message prefix of this grammar.
-_FAMILY = "fault spec"
 
 
 @dataclass(frozen=True)
@@ -86,145 +85,45 @@ class FaultSpec:
                 and self.link_degrade_p == 0.0)
 
 
-# The cluster and traffic grammars share these helpers; ``family`` is the
-# error-message prefix ("fault spec", "cluster spec", "traffic spec").
-
-def _parse_prob(family: str, clause: str, key: str, value: str) -> float:
-    try:
-        p = float(value)
-    except ValueError:
-        raise ConfigError(
-            f"{family}: {clause}: {key} must be a float, got {value!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(
-            f"{family}: {clause}: {key}={p} out of range [0, 1]")
-    return p
-
-
-def _parse_int(family: str, clause: str, key: str, value: str, *,
-               min_val: int = 0) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(
-            f"{family}: {clause}: {key} must be an int, got {value!r}")
-    if n < min_val:
-        raise ConfigError(
-            f"{family}: {clause}: {key}={n} must be >= {min_val}")
-    return n
-
-
-def _parse_params(family: str, clause: str, body: str,
-                  allowed: tuple[str, ...]) -> dict:
-    params: dict[str, str] = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(
-                f"{family}: {clause}: expected key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in allowed:
-            raise ConfigError(
-                f"{family}: {clause}: unknown parameter {key!r} "
-                f"(allowed: {', '.join(allowed)})")
-        if key in params:
-            raise ConfigError(f"{family}: {clause}: duplicate {key!r}")
-        params[key] = value.strip()
-    return params
-
-
-def _parse_slow_cores(clause: str, body: str) -> tuple[tuple[int, int], ...]:
+def _slow_cores(c: Clause, fields: dict) -> None:
+    """``<core>@<mult>x[,<core>@<mult>x...]``, stored sorted by core."""
+    if not c.body:
+        raise c.error("needs <core>@<mult>x entries")
     cores: dict[int, int] = {}
-    for part in body.split(","):
+    for part in c.body.split(","):
         part = part.strip()
         if not part:
             continue
         if "@" not in part:
-            raise ConfigError(
-                f"fault spec: {clause}: expected <core>@<mult>x, "
-                f"got {part!r}")
+            raise c.error(f"expected <core>@<mult>x, got {part!r}")
         core_s, _, mult_s = part.partition("@")
-        core = _parse_int(_FAMILY, clause, "core", core_s.strip(), min_val=0)
+        core = integer(0)(c, "core", core_s.strip())
         mult_s = mult_s.strip()
         if mult_s.lower().endswith("x"):
             mult_s = mult_s[:-1]
-        mult = _parse_int(_FAMILY, clause, "multiplier", mult_s, min_val=1)
+        mult = integer(1)(c, "multiplier", mult_s)
         if core in cores:
-            raise ConfigError(f"fault spec: {clause}: core {core} "
-                              f"listed twice")
+            raise c.error(f"core {core} listed twice")
         cores[core] = mult
-    return tuple(sorted(cores.items()))
+    fields["slow_cores"] = tuple(sorted(cores.items()))
+
+
+_GRAMMAR = Grammar("fault spec", FaultSpec, (
+    Row("net_jitter", (Param("p", "net_jitter_p", probability, "<prob>"),
+                       Param("max", "net_jitter_max", integer(1),
+                             "<cycles>"))),
+    Row("dir_nack", (Param("p", "dir_nack_p", probability, "<prob>"),
+                     Param("retries", "dir_nack_retries", integer(1)))),
+    Row("timer_skew", parse=skew_bound("timer_skew")),
+    Row("slow_core", parse=_slow_cores),
+    Row("link_degrade", (Param("p", "link_degrade_p", probability, "<prob>"),
+                         Param("factor", "link_degrade_factor", integer(2)),
+                         Param("queue", "link_degrade_queue", integer(1)))),
+))
 
 
 def parse_fault_spec(spec: str) -> FaultSpec:
     """Parse a ``--faults`` spec string.  An empty/whitespace string
     yields an empty spec (``FaultSpec.empty`` is true -> no plan is
     installed and behaviour is bit-identical to a fault-free build)."""
-    spec = (spec or "").strip()
-    fields: dict = {"raw": spec}
-    seen: set[str] = set()
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        name, _, body = clause.partition(":")
-        name = name.strip()
-        body = body.strip()
-        if name in seen:
-            raise ConfigError(f"fault spec: duplicate clause {name!r}")
-        seen.add(name)
-        if name == "net_jitter":
-            params = _parse_params(_FAMILY, clause, body, ("p", "max"))
-            if "p" not in params or "max" not in params:
-                raise ConfigError(
-                    f"fault spec: {clause}: needs p=<prob>,max=<cycles>")
-            fields["net_jitter_p"] = _parse_prob(
-                _FAMILY, clause, "p", params["p"])
-            fields["net_jitter_max"] = _parse_int(
-                _FAMILY, clause, "max", params["max"], min_val=1)
-        elif name == "dir_nack":
-            params = _parse_params(_FAMILY, clause, body, ("p", "retries"))
-            if "p" not in params:
-                raise ConfigError(f"fault spec: {clause}: needs p=<prob>")
-            fields["dir_nack_p"] = _parse_prob(
-                _FAMILY, clause, "p", params["p"])
-            if "retries" in params:
-                fields["dir_nack_retries"] = _parse_int(
-                    _FAMILY, clause, "retries", params["retries"], min_val=1)
-        elif name == "timer_skew":
-            value = body
-            if value.lower().startswith("max="):
-                value = value[4:]
-            # accept the spec-string idiom "±8" as well as plain "8"
-            value = value.lstrip("±").lstrip("+").strip()
-            if not value:
-                raise ConfigError(
-                    f"fault spec: {clause}: needs a skew bound in cycles")
-            fields["timer_skew"] = _parse_int(_FAMILY, clause, "skew", value,
-                                              min_val=0)
-        elif name == "slow_core":
-            if not body:
-                raise ConfigError(
-                    f"fault spec: {clause}: needs <core>@<mult>x entries")
-            fields["slow_cores"] = _parse_slow_cores(clause, body)
-        elif name == "link_degrade":
-            params = _parse_params(_FAMILY, clause, body,
-                                   ("p", "factor", "queue"))
-            if "p" not in params:
-                raise ConfigError(f"fault spec: {clause}: needs p=<prob>")
-            fields["link_degrade_p"] = _parse_prob(
-                _FAMILY, clause, "p", params["p"])
-            if "factor" in params:
-                fields["link_degrade_factor"] = _parse_int(
-                    _FAMILY, clause, "factor", params["factor"], min_val=2)
-            if "queue" in params:
-                fields["link_degrade_queue"] = _parse_int(
-                    _FAMILY, clause, "queue", params["queue"], min_val=1)
-        else:
-            raise ConfigError(
-                f"fault spec: unknown clause {name!r} (known: net_jitter, "
-                f"dir_nack, timer_skew, slow_core, link_degrade)")
-    return FaultSpec(**fields)
+    return _GRAMMAR.parse(spec)
