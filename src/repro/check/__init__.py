@@ -19,7 +19,10 @@ This package closes that gap:
 * :mod:`~repro.check.cluster` -- the multi-node campaign behind
   ``python -m repro check cluster_lease``: PaxosLease safety (at most
   one holder per object) fuzzed under message loss, duplication,
-  partitions and timer skew.
+  partitions and timer skew;
+* :mod:`~repro.check.identity` -- ``python -m repro check identity``:
+  checkpoint restore, ``network=infinite``, cluster state roundtrips and
+  ``--jobs`` must leave every experiment arm's results unchanged.
 """
 
 from .campaign import (CampaignReport, CheckTarget, EXPERIMENT_ALIASES,

@@ -369,7 +369,6 @@ EXPERIMENT_ALIASES: dict[str, str] = {
     "fig3_counter": "counter",
     "fig3_queue": "msqueue",
     "fig3_pq": "pq",
-    "fig5_multilease": "multilease",
     "e1_backoff": "treiber",
     "e2_low_contention_list": "harris",
     "sync_ablation": "sync_zoo_treiber",

@@ -256,7 +256,8 @@ def bench_cluster(num_threads: int, *, structure: str = "counter",
         traffic=traffic, schedule=schedule)
     for sink in sinks or ():
         cluster.attach_tracer(sink)
-    cluster.run()
+    from ..state import hooks
+    (hooks.run_hook or Cluster.run)(cluster)    # the repro.state.hooks seam
     verify_cluster_counters(cluster, info)
     k = cluster.counters
     res = cluster.result(f"cluster_{structure}/n{nodes}", extra={

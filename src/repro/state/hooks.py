@@ -5,6 +5,8 @@ and call ``machine.run()``.  Checkpointing (periodic saves, resume,
 warm-start) needs to wrap that run without changing thirteen driver
 signatures, so the drivers consult this module: when :data:`run_hook` is
 set, they call ``run_hook(machine)`` instead of ``machine.run()``.
+``bench_cluster`` passes the whole ``Cluster``; only the identity harness
+(:mod:`repro.check.identity`) hooks it, the CLI's hook is single-machine.
 
 :data:`cell` is set by the sweep harness just before each cell runs and
 describes *which* bench/variant/thread-count is executing -- the hook uses

@@ -9,7 +9,7 @@ An arrival that finds the queue full is **shed**: counted, traced as an
 controller does under overload.
 
 Determinism contract (what makes the identity checks in
-``bench tail_latency`` / ``examples/traffic_identity.py`` possible):
+``bench tail_latency`` / ``python -m repro check identity`` possible):
 lanes are mutated *only* from inside thread generator bodies, and every
 input to that mutation is either the machine clock at the poll site, a
 replayed yield value, or the lane's private RNGs.  Checkpoint replay

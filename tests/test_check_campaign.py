@@ -25,6 +25,15 @@ def test_resolve_target_accepts_experiment_aliases():
     assert resolve_target("treiber") is TARGETS["treiber"]
 
 
+def test_experiment_aliases_name_experiments_and_targets():
+    from repro.check import EXPERIMENT_ALIASES
+    from repro.harness import EXPERIMENTS
+
+    for alias, target in EXPERIMENT_ALIASES.items():
+        assert alias in EXPERIMENTS, f"alias {alias!r} names no experiment"
+        assert target in TARGETS, f"alias {alias!r} -> unknown {target!r}"
+
+
 def test_resolve_target_unknown_raises():
     with pytest.raises(ReproError, match="unknown check target"):
         resolve_target("nope")

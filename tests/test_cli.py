@@ -407,6 +407,39 @@ def test_run_resume_missing_file(tmp_path, capsys):
     assert "--resume:" in capsys.readouterr().err
 
 
+#: Each ``check`` mode's command line and the flags it accepts.
+_CHECK_MODES = {
+    "target": (["check", "treiber"],
+               {"--budget", "--seed", "--no-shrink", "--save", "--faults",
+                "--traffic"}),
+    "cluster_lease": (["check", "cluster_lease"],
+                      {"--budget", "--seed", "--no-shrink", "--save",
+                       "--nodes", "--cluster", "--quorum", "--structure"}),
+    "replay": (["check", "replay", "r.json"], set()),
+    "identity": (["check", "identity"], {"--budget", "--seed", "--save"}),
+}
+_CHECK_FLAG_ARGS = {
+    "--budget": ["2"], "--seed": ["1"], "--no-shrink": [],
+    "--save": ["x.json"], "--faults": ["timer_skew:4"],
+    "--traffic": ["poisson:rate=1"], "--nodes": ["3"],
+    "--cluster": ["bogus:zz"], "--quorum": ["1"], "--structure": ["nope"],
+}
+
+
+@pytest.mark.parametrize("mode,flag", [
+    (mode, flag) for mode, (_argv, accepted) in _CHECK_MODES.items()
+    for flag in _CHECK_FLAG_ARGS if flag not in accepted])
+def test_check_rejects_flags_outside_their_mode(mode, flag, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv, _accepted = _CHECK_MODES[mode]
+    assert main(argv + [flag] + _CHECK_FLAG_ARGS[flag]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_list_targets(capsys):
     assert main(["check", "--list-targets"]) == 0
     out = capsys.readouterr().out
