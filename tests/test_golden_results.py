@@ -24,9 +24,10 @@ from functools import partial
 
 import pytest
 
+from repro.check.perturb import PctStrategy, RandomStrategy
 from repro.cluster import ClusterConfig, build_cluster
 from repro.config import MachineConfig
-from repro.core.isa import Store
+from repro.core.isa import Lease, Release, Store, Work
 from repro.core.machine import Machine
 from repro.structures import TreiberStack
 
@@ -35,8 +36,9 @@ FAULTS = "net_jitter:p=0.05,max=40;dir_nack:p=0.02"
 SAT_SPEC = "link:bw=2,queue=8,flits=4;arb:wrr,weights=2:1;port:dir=2,mem=4"
 
 
-def _treiber(cfg: MachineConfig, ops: int = 10) -> Machine:
-    m = Machine(cfg)
+def _treiber(cfg: MachineConfig, ops: int = 10,
+             strategy=None) -> Machine:
+    m = Machine(cfg, schedule_strategy=strategy)
     s = TreiberStack(m)
     s.prefill(range(16))
     for _ in range(cfg.num_cores):
@@ -60,6 +62,7 @@ def _storm(cfg: MachineConfig, rounds: int = 12) -> Machine:
 
 
 WORKLOADS = {"treiber": _treiber, "storm": _storm}
+STRATEGIES = {"random": RandomStrategy, "pct": PctStrategy}
 
 
 def _digest(result, events: int, now: int) -> str:
@@ -75,6 +78,34 @@ def _machine_cell(workload: str, protocol: str, leases: bool, faults: str,
     if network:
         cfg = replace(cfg, network=replace(cfg.network, spec=network))
     m = WORKLOADS[workload](cfg)
+    m.run()
+    return _digest(m.result("golden"), m.sim.events_processed, m.sim.now)
+
+
+def _strategy_cell(kind: str, cores: int) -> str:
+    """Base Treiber with a seeded schedule-perturbation strategy."""
+    m = _treiber(MachineConfig(num_cores=cores).with_leases(False),
+                 strategy=STRATEGIES[kind](1))
+    m.run()
+    return _digest(m.result("golden"), m.sim.events_processed, m.sim.now)
+
+
+def _expiry_cell(cores: int = 4, rounds: int = 50) -> str:
+    """Every lease outlives its 50-cycle timer, so each one expires (its
+    timer fires) before the core's Release."""
+    m = Machine(MachineConfig(num_cores=cores).with_leases(True))
+    addr = m.alloc_var(0, label="golden.expiry")
+
+    def body(ctx):
+        for i in range(rounds):
+            yield Lease(addr, 50)
+            yield Store(addr, i)
+            yield Work(400)
+            yield Release(addr)
+        ctx.note_op()
+
+    for _ in range(cores):
+        m.add_thread(body)
     m.run()
     return _digest(m.result("golden"), m.sim.events_processed, m.sim.now)
 
@@ -105,6 +136,11 @@ def _cells() -> dict:
                                              protocol, leases, faults, cores)
     cells["treiber-network-sat-c4"] = partial(
         _machine_cell, "treiber", "msi", True, "", 4, SAT_SPEC)
+    for kind in STRATEGIES:
+        for cores in (4, 8):
+            cells[f"treiber-{kind}-c{cores}"] = partial(_strategy_cell,
+                                                        kind, cores)
+    cells["lease-expiry-c4"] = _expiry_cell
     cells["cluster_shards-n2-c2"] = _cluster_cell
     return cells
 
@@ -113,6 +149,7 @@ CELLS = _cells()
 
 GOLDEN = {
     "cluster_shards-n2-c2": "1a43546823280b7323b25234",
+    "lease-expiry-c4": "0db17011ecd008d1f9b19b39",
     "storm-mesi-base-clean-c1": "8a417ab58df9f7ff66e9e7ec",
     "storm-mesi-base-clean-c4": "ceecc27593ee6a5e55fd544e",
     "storm-mesi-base-clean-c8": "b795ef9ec16120cfe59d869c",
@@ -162,6 +199,10 @@ GOLDEN = {
     "treiber-msi-lease-faults-c4": "15ead9171506c05cfc3cf353",
     "treiber-msi-lease-faults-c8": "9043bf37db5e8390cc0e3466",
     "treiber-network-sat-c4": "346dc318e1cbd10dce086c58",
+    "treiber-pct-c4": "35bb5f18cba026d71840a1aa",
+    "treiber-pct-c8": "59d0996e373b19c802382718",
+    "treiber-random-c4": "091f07f3442916c05c3e9621",
+    "treiber-random-c8": "4e97aad4e46b5d192596c2fd",
 }
 
 
