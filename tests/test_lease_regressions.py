@@ -181,3 +181,63 @@ class TestPinRefcount:
         m.run()
         assert m.peek(addr) == 40
         assert checker.checks_run > 0
+
+
+# -- expiring timers ----------------------------------------------------------
+
+def _expiring(multi: bool, cores: int = 2, rounds: int = 50):
+    """Every lease outlives its 50-cycle timer, so each one expires."""
+    m = make_machine(cores)
+    a, b = m.alloc_var(0), m.alloc_var(0)
+
+    def worker(ctx):
+        for i in range(rounds):
+            yield MultiLease((a, b), 50) if multi else Lease(a, 50)
+            yield Store(a, i)
+            yield Work(400)
+            yield ReleaseAll() if multi else Release(a)
+
+    for _ in range(cores):
+        m.add_thread(worker)
+    return m
+
+
+class TestExpiredTimer:
+    """An expiring lease used to cancel its own timer -- the very event
+    that was running -- through ``_expire`` -> ``_release_entry`` ->
+    ``_unlink_entry``.  Each expiry drove the queue's live count one
+    further below the number of pending events."""
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_queue_length_counts_pending_events(self, multi):
+        from repro.state.codec import SnapshotCodec
+
+        m = _expiring(multi)
+        while m.idle_cores < m.config.num_cores:
+            m.run(until=m.now + 700)
+            pending = m.sim.queue.state_dict(SnapshotCodec(m))["events"]
+            assert len(m.sim.queue) == len(pending)
+        assert m.counters.releases_involuntary >= 100
+        assert len(m.sim.queue) == 0
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_no_cancel_touches_a_fired_timer(self, multi, monkeypatch):
+        from repro.engine import Simulator
+        from repro.lease.manager import LeaseManager
+
+        fired = []
+        expire, cancel = LeaseManager._expire, Simulator.cancel
+
+        def spy_expire(mgr, entry):
+            fired.append(entry.expiry_event)
+            expire(mgr, entry)
+
+        def spy_cancel(sim, ev):
+            assert all(ev is not f for f in fired), "cancelled a fired timer"
+            cancel(sim, ev)
+
+        monkeypatch.setattr(LeaseManager, "_expire", spy_expire)
+        monkeypatch.setattr(Simulator, "cancel", spy_cancel)
+        m = _expiring(multi)
+        m.run()
+        assert len(fired) >= 100
