@@ -1,8 +1,9 @@
 """Schedule-perturbation strategies.
 
 The event queue orders events by ``(time, pri, seq)``.  A strategy assigns
-the ``pri`` component at schedule time, which reorders *same-timestamp*
-events only: the simulation's timing model is untouched, but the
+the ``pri`` component at schedule time -- ``priority(seq, fn, args)`` runs
+exactly once per scheduled event -- which reorders *same-timestamp* events
+only: the simulation's timing model is untouched, but the
 tie-breaking order among simultaneous events -- exactly the freedom a real
 machine's arbiters have -- is explored.  Strategies are deterministic
 functions of their seed, so any explored schedule can be re-run exactly.
@@ -26,22 +27,23 @@ Strategies:
 from __future__ import annotations
 
 import random
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
-from ..engine.event_queue import Event, ScheduleStrategy
+from ..engine.event_queue import ScheduleStrategy
 
 __all__ = ["ScheduleStrategy", "RandomStrategy", "PctStrategy",
            "ReplayStrategy", "owner_core", "strategy_for_schedule"]
 
 
-def owner_core(ev: Event) -> int | None:
-    """Core id that scheduled ``ev``, when recoverable.
+def owner_core(fn: Callable[..., Any]) -> int | None:
+    """Core id that scheduled an event with callback ``fn``, when
+    recoverable.
 
     Most events are continuations bound to a :class:`~repro.core.core.Core`,
     memory unit or lease manager, all of which carry a ``core_id``; events
     owned by shared components (directory, network) return None.
     """
-    obj = getattr(ev.fn, "__self__", None)
+    obj = getattr(fn, "__self__", None)
     return getattr(obj, "core_id", None)
 
 
@@ -91,11 +93,11 @@ class RandomStrategy(_Recording):
         self.amplitude = amplitude
         self._rng = random.Random(seed)
 
-    def priority(self, ev: Event) -> int:
+    def priority(self, seq: int, fn: Callable[..., Any], args: tuple) -> int:
         if self._rng.random() >= self.rate:
             return 0
         pri = self._rng.randint(1, self.amplitude)
-        self.decisions[ev.seq] = pri
+        self.decisions[seq] = pri
         return pri
 
     def describe(self) -> dict:
@@ -148,7 +150,7 @@ class PctStrategy(_Recording):
         self._core_pri: dict[int, int] = {}
         self._boosts = 0
 
-    def priority(self, ev: Event) -> int:
+    def priority(self, seq: int, fn: Callable[..., Any], args: tuple) -> int:
         count = self._scheduled
         self._scheduled += 1
         while self._change_points and count >= self._change_points[0]:
@@ -157,14 +159,14 @@ class PctStrategy(_Recording):
                 victim = self._rng.choice(sorted(self._core_pri))
                 self._boosts += 1
                 self._core_pri[victim] = -self._boosts
-        core = owner_core(ev)
+        core = owner_core(fn)
         if core is None:
             return 0
         pri = self._core_pri.get(core)
         if pri is None:
             pri = self._core_pri[core] = self._rng.randint(1, 8)
         if pri:
-            self.decisions[ev.seq] = pri
+            self.decisions[seq] = pri
         return pri
 
     def describe(self) -> dict:
@@ -210,10 +212,10 @@ class ReplayStrategy(_Recording):
         super().__init__()
         self._replay = {int(k): int(v) for k, v in decisions.items()}
 
-    def priority(self, ev: Event) -> int:
-        pri = self._replay.get(ev.seq, 0)
+    def priority(self, seq: int, fn: Callable[..., Any], args: tuple) -> int:
+        pri = self._replay.get(seq, 0)
         if pri:
-            self.decisions[ev.seq] = pri
+            self.decisions[seq] = pri
         return pri
 
     def describe(self) -> dict:

@@ -102,8 +102,8 @@ class SnapshotCodec:
         # -- identity pool (decode side) --
         self._pool_items: list = []
         self._pending_fields: list = []
-        #: seq -> Event, set once the queue is rebuilt (decode side).
-        self._event_map: dict[int, Any] | None = None
+        #: seq -> queue entry, set once the queue is rebuilt (decode side).
+        self._event_map: dict[int, tuple] | None = None
         # -- function-descriptor registry --
         self._fn_by_desc: dict[tuple, Any] = {}
         self._desc_by_key: dict[Any, tuple] = {}
@@ -221,7 +221,7 @@ class SnapshotCodec:
             if self._event_map is None:
                 raise CheckpointError(
                     "event reference decoded before the queue was rebuilt")
-            return self._event_map[v[1]]
+            return self._event_cls(*self._event_map[v[1]])
         if tag == "obj":
             return self._pool_items[v[1]]
         if tag == "fn":
@@ -263,9 +263,10 @@ class SnapshotCodec:
             self._pool_items.append(object.__new__(cls))
             self._pending_fields.append(fields)
 
-    def set_event_map(self, event_map: dict[int, Any]) -> None:
-        """Install the seq -> Event map of the rebuilt queue (enables
-        ``["event", seq]`` decoding, e.g. lease expiry timers)."""
+    def set_event_map(self, event_map: dict[int, tuple]) -> None:
+        """Install the seq -> entry map of the rebuilt queue (enables
+        ``["event", seq]`` decoding into a fresh handle, e.g. lease expiry
+        timers)."""
         self._event_map = event_map
 
     def fill_pool(self) -> None:

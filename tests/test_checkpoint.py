@@ -158,8 +158,11 @@ def test_restore_preserves_pin_refcounts_and_lease_identity():
                 # queue must reference THIS entry object (removal is
                 # by identity; a duplicated entry would never cancel).
                 assert e.expiry_event.args[0] is e
-                assert any(ev is e.expiry_event
-                           for ev in m2.sim.queue._heap)
+                # ...and its seq must be live in the restored heap.
+                queue = m2.sim.queue
+                assert e.expiry_event.seq not in queue._dead
+                assert any(entry[2] == e.expiry_event.seq
+                           and entry[4][0] is e for entry in queue._heap)
     # And the restored machine still finishes identically.
     m2.run()
     m3 = _build_treiber(cfg)

@@ -8,9 +8,10 @@ from repro.check.perturb import (PctStrategy, RandomStrategy, ReplayStrategy,
 
 
 def _drain(q):
+    """Pop every live entry: ``(time, pri, seq, fn, args)`` tuples."""
     out = []
-    while (ev := q.pop()) is not None:
-        out.append(ev)
+    while (entry := q.pop()) is not None:
+        out.append(entry)
     return out
 
 
@@ -20,7 +21,7 @@ def test_no_strategy_all_priorities_zero():
     q = EventQueue()
     for i in range(5):
         q.schedule(3, lambda: None)
-    assert all(ev.pri == 0 for ev in _drain(q))
+    assert all(pri == 0 for _, pri, _, _, _ in _drain(q))
 
 
 def test_default_strategy_is_identity():
@@ -29,33 +30,33 @@ def test_default_strategy_is_identity():
     for t in (4, 1, 4, 4, 2, 1):
         plain.schedule(t, lambda: None)
         hooked.schedule(t, lambda: None)
-    assert ([(e.time, e.seq) for e in _drain(plain)]
-            == [(e.time, e.seq) for e in _drain(hooked)])
+    assert ([(t, seq) for t, _, seq, _, _ in _drain(plain)]
+            == [(t, seq) for t, _, seq, _, _ in _drain(hooked)])
 
 
 def test_strategy_only_reorders_same_timestamp():
     """Nonzero priorities must never move an event across timestamps."""
 
     class Always9(ScheduleStrategy):
-        def priority(self, ev):
-            return 9 if ev.seq % 2 else 0
+        def priority(self, seq, fn, args):
+            return 9 if seq % 2 else 0
 
     q = EventQueue(Always9())
     for t in (5, 5, 1, 1, 3, 3):
         q.schedule(t, lambda: None)
-    times = [ev.time for ev in _drain(q)]
+    times = [t for t, _, _, _, _ in _drain(q)]
     assert times == sorted(times)
 
 
 def test_strategy_reorders_ties_by_priority():
     class BySeqReversed(ScheduleStrategy):
-        def priority(self, ev):
-            return -ev.seq        # later-scheduled first
+        def priority(self, seq, fn, args):
+            return -seq           # later-scheduled first
 
     q = EventQueue(BySeqReversed())
     for i in range(6):
         q.schedule(7, lambda: None)
-    assert [ev.seq for ev in _drain(q)] == [5, 4, 3, 2, 1, 0]
+    assert [seq for _, _, seq, _, _ in _drain(q)] == [5, 4, 3, 2, 1, 0]
 
 
 # -- RandomStrategy / ReplayStrategy ------------------------------------------
@@ -65,7 +66,7 @@ def test_random_strategy_is_seed_deterministic():
         q = EventQueue(RandomStrategy(seed, rate=0.5))
         for i in range(40):
             q.schedule(2, lambda: None)
-        return [ev.seq for ev in _drain(q)]
+        return [seq for _, _, seq, _, _ in _drain(q)]
 
     assert order(11) == order(11)
     assert order(11) != order(12)
@@ -77,7 +78,7 @@ def test_random_strategy_perturbs_some_schedule():
         q = EventQueue(RandomStrategy(seed, rate=0.5))
         for _ in range(30):
             q.schedule(1, lambda: None)
-        if [ev.seq for ev in _drain(q)] != list(range(30)):
+        if [seq for _, _, seq, _, _ in _drain(q)] != list(range(30)):
             perturbed = True
             break
     assert perturbed
@@ -88,13 +89,13 @@ def test_replay_reproduces_random_run():
     q1 = EventQueue(rand)
     for i in range(50):
         q1.schedule(i % 3, lambda: None)
-    order1 = [(ev.time, ev.seq) for ev in _drain(q1)]
+    order1 = [(t, seq) for t, _, seq, _, _ in _drain(q1)]
     assert rand.decisions, "expected some perturbation at rate=0.5"
 
     q2 = EventQueue(ReplayStrategy(rand.decisions))
     for i in range(50):
         q2.schedule(i % 3, lambda: None)
-    assert [(ev.time, ev.seq) for ev in _drain(q2)] == order1
+    assert [(t, seq) for t, _, seq, _, _ in _drain(q2)] == order1
 
 
 def test_empty_replay_equals_default_order():
@@ -102,8 +103,8 @@ def test_empty_replay_equals_default_order():
     for t in (2, 0, 2, 1, 0):
         q1.schedule(t, lambda: None)
         q2.schedule(t, lambda: None)
-    assert ([(e.time, e.seq) for e in _drain(q1)]
-            == [(e.time, e.seq) for e in _drain(q2)])
+    assert ([(t, seq) for t, _, seq, _, _ in _drain(q1)]
+            == [(t, seq) for t, _, seq, _, _ in _drain(q2)])
 
 
 # -- PCT strategy -------------------------------------------------------------
@@ -117,33 +118,28 @@ class _Owner:
 
 
 def test_owner_core_extraction():
-    assert owner_core_of(_Owner(3).cb) == 3
-    assert owner_core_of(lambda: None) is None
-
-
-def owner_core_of(fn):
-    class _Ev:
-        pass
-    ev = _Ev()
-    ev.fn = fn
-    return owner_core(ev)
+    assert owner_core(_Owner(3).cb) == 3
+    assert owner_core(lambda: None) is None
 
 
 def test_pct_assigns_stable_per_core_priorities():
     strat = PctStrategy(5, depth=0)
     a, b = _Owner(0), _Owner(1)
     q = EventQueue(strat)
-    evs = [q.schedule(1, (a if i % 2 else b).cb) for i in range(8)]
-    pris = {owner_core(e): e.pri for e in evs}
+    for i in range(8):
+        q.schedule(1, (a if i % 2 else b).cb)
+    evs = [(owner_core(fn), pri) for _, pri, _, fn, _ in _drain(q)]
+    pris = dict(evs)
     assert set(pris) == {0, 1}
-    for e in evs:                     # same core -> same priority throughout
-        assert e.pri == pris[owner_core(e)]
+    for core, pri in evs:             # same core -> same priority throughout
+        assert pri == pris[core]
 
 
 def test_pct_leaves_unowned_events_alone():
     q = EventQueue(PctStrategy(5, depth=3))
-    ev = q.schedule(1, lambda: None)
-    assert ev.pri == 0
+    q.schedule(1, lambda: None)
+    _, pri, _, _, _ = q.pop()
+    assert pri == 0
 
 
 def test_pct_is_seed_deterministic():
@@ -151,7 +147,10 @@ def test_pct_is_seed_deterministic():
         strat = PctStrategy(seed, depth=2, horizon=16)
         q = EventQueue(strat)
         owners = [_Owner(i % 4) for i in range(4)]
-        return [q.schedule(1, owners[i % 4].cb).pri for i in range(32)]
+        for i in range(32):
+            q.schedule(1, owners[i % 4].cb)
+        return [pri for _, pri, _, _, _ in sorted(_drain(q),
+                                                  key=lambda e: e[2])]
 
     assert pris(3) == pris(3)
 
@@ -174,19 +173,20 @@ def test_compaction_preserves_strategy_order():
     events that moved during compaction must still work."""
 
     class Zigzag(ScheduleStrategy):
-        def priority(self, ev):
-            return (7 - ev.seq) % 5
+        def priority(self, seq, fn, args):
+            return (7 - seq) % 5
 
     q = EventQueue(Zigzag())
-    events = [q.schedule(t % 4, lambda: None) for t in range(400)]
+    events = [q.schedule_cancellable(t % 4, lambda: None)
+              for t in range(400)]
     for ev in events[:260]:
         q.cancel(ev)                 # dead > live: forces compaction
     assert q.heap_size < 400         # compaction actually happened
     survivors = events[260:]
     # Scheduling and cancelling across the compaction boundary still works.
-    late = q.schedule(0, lambda: None)
+    late = q.schedule_cancellable(0, lambda: None)
     q.cancel(survivors[0])
-    out = [(ev.time, ev.pri, ev.seq) for ev in _drain(q)]
+    out = [(t, pri, seq) for t, pri, seq, _, _ in _drain(q)]
     expected = sorted((ev.time, ev.pri, ev.seq)
                       for ev in survivors[1:] + [late])
     assert out == expected
@@ -198,12 +198,12 @@ def test_strategy_runs_once_per_schedule_despite_compaction():
     calls = []
 
     class Counting(ScheduleStrategy):
-        def priority(self, ev):
-            calls.append(ev.seq)
+        def priority(self, seq, fn, args):
+            calls.append(seq)
             return 1
 
     q = EventQueue(Counting())
-    events = [q.schedule(1, lambda: None) for _ in range(300)]
+    events = [q.schedule_cancellable(1, lambda: None) for _ in range(300)]
     for ev in events[:250]:
         q.cancel(ev)
     q.schedule(2, lambda: None)

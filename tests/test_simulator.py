@@ -144,6 +144,40 @@ def test_max_cycles_budget():
         sim.run()
 
 
+def test_timeouts_leave_events_processed_as_reported():
+    """Both budgets leave ``events_processed`` at the count the timeout
+    reports: max_events + 1 when the event budget trips."""
+    sim = Simulator(max_events=100)
+
+    def tick():
+        sim.after(1, tick)
+
+    sim.at(0, tick)
+    with pytest.raises(SimulationTimeout) as exc:
+        sim.run()
+    assert sim.events_processed == exc.value.events == 101
+
+    sim = Simulator(max_cycles=1000)
+    for t in (10, 20, 2000):
+        sim.at(t, lambda: None)
+    with pytest.raises(SimulationTimeout) as exc:
+        sim.run()
+    assert sim.events_processed == exc.value.events == 2
+    assert exc.value.cycle == 2000
+
+
+def test_until_past_max_cycles():
+    """An event past both ``until`` and ``max_cycles`` is deferred; one
+    between them times out."""
+    sim = Simulator(max_cycles=1000)
+    sim.at(6000, lambda: None)
+    assert sim.run(until=5000) == 5000
+    sim = Simulator(max_cycles=1000)
+    sim.at(2000, lambda: None)
+    with pytest.raises(SimulationTimeout):
+        sim.run(until=5000)
+
+
 def test_quiescence_stops_early():
     sim = Simulator()
     seen = []
@@ -158,7 +192,7 @@ def test_quiescence_stops_early():
 def test_cancel_through_simulator():
     sim = Simulator()
     seen = []
-    ev = sim.at(5, lambda: seen.append(1))
+    ev = sim.queue.schedule_cancellable(5, lambda: seen.append(1))
     sim.cancel(ev)
     sim.run()
     assert seen == []
