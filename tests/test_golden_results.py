@@ -29,7 +29,7 @@ from repro.cluster import ClusterConfig, build_cluster
 from repro.config import MachineConfig
 from repro.core.isa import Lease, Release, Store, Work
 from repro.core.machine import Machine
-from repro.structures import TreiberStack
+from repro.structures import LockFreeSkipList, TreiberStack
 
 FAULTS = "net_jitter:p=0.05,max=40;dir_nack:p=0.02"
 #: A link/port spec that saturates under four Treiber workers.
@@ -61,7 +61,18 @@ def _storm(cfg: MachineConfig, rounds: int = 12) -> Machine:
     return m
 
 
-WORKLOADS = {"treiber": _treiber, "storm": _storm}
+def _skiplist(cfg: MachineConfig, ops: int = 20,
+              key_range: int = 256) -> Machine:
+    """Lock-free skiplist at 20% updates, half its key range prefilled."""
+    m = Machine(cfg)
+    s = LockFreeSkipList(m)
+    s.prefill(range(0, key_range, 2))
+    for _ in range(cfg.num_cores):
+        m.add_thread(s.mixed_worker, ops, key_range)
+    return m
+
+
+WORKLOADS = {"treiber": _treiber, "storm": _storm, "skiplist": _skiplist}
 STRATEGIES = {"random": RandomStrategy, "pct": PctStrategy}
 
 
@@ -124,7 +135,7 @@ def _cluster_cell() -> str:
 def _cells() -> dict:
     """Cell id -> zero-argument callable returning the cell's digest."""
     cells = {}
-    for workload in WORKLOADS:
+    for workload in ("treiber", "storm"):
         for protocol in ("msi", "mesi"):
             for leases in (False, True):
                 for faults in ("", FAULTS):
@@ -134,6 +145,9 @@ def _cells() -> dict:
                                f"{'faults' if faults else 'clean'}-c{cores}")
                         cells[cid] = partial(_machine_cell, workload,
                                              protocol, leases, faults, cores)
+    for leases in (False, True):
+        cells[f"skiplist-{'lease' if leases else 'base'}-c4"] = partial(
+            _machine_cell, "skiplist", "msi", leases, "", 4)
     cells["treiber-network-sat-c4"] = partial(
         _machine_cell, "treiber", "msi", True, "", 4, SAT_SPEC)
     for kind in STRATEGIES:
@@ -150,6 +164,8 @@ CELLS = _cells()
 GOLDEN = {
     "cluster_shards-n2-c2": "1a43546823280b7323b25234",
     "lease-expiry-c4": "0db17011ecd008d1f9b19b39",
+    "skiplist-base-c4": "c82ceab96663627861c2f9a3",
+    "skiplist-lease-c4": "eb64e7525ee84915ef65cf4b",
     "storm-mesi-base-clean-c1": "8a417ab58df9f7ff66e9e7ec",
     "storm-mesi-base-clean-c4": "ceecc27593ee6a5e55fd544e",
     "storm-mesi-base-clean-c8": "b795ef9ec16120cfe59d869c",
