@@ -65,10 +65,15 @@ class LockFreeSkipList:
     # -- setup -------------------------------------------------------------
 
     def prefill(self, keys, seed: int = 7) -> None:
-        """Insert ``keys`` directly (no traffic); call before run."""
+        """Insert ``keys`` directly (no traffic); call before run.
+
+        Keys go in ascending order, so each level's predecessor only moves
+        right: every level's walk resumes where the previous key's walk at
+        that level stopped, which keeps the whole prefill linear."""
         import random
         rng = random.Random(seed)
         m = self.machine
+        preds = [self.head] * self.max_height
         for key in sorted(set(keys)):
             h = 1
             while h < self.max_height and rng.random() < 0.5:
@@ -76,14 +81,15 @@ class LockFreeSkipList:
             node = m.alloc.alloc_words(2 + h)
             m.write_init(node + KEY_OFF, key)
             m.write_init(node + HEIGHT_OFF, h)
-            pred = self.head
             for lvl in range(self.max_height - 1, -1, -1):
+                pred = preds[lvl]
                 while True:
                     nxt = m.peek(pred + next_off(lvl))
                     if nxt != self.tail and m.peek(nxt + KEY_OFF) < key:
                         pred = nxt
                     else:
                         break
+                preds[lvl] = pred
                 if lvl < h:
                     m.write_init(node + next_off(lvl), nxt)
                     m.write_init(pred + next_off(lvl), node)
