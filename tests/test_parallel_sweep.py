@@ -1,10 +1,15 @@
-"""Parallel sweep execution: same results as serial, deterministically."""
+"""Sweep execution: parallel sweeps return what serial sweeps return,
+deterministically, and every finished cell's machine is freed."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.harness.runner import sweep
 from repro.harness.experiments import run_experiment
-from repro.trace import RingBufferTracer
+from repro.state import hooks
+from repro.trace import NullTracer, RingBufferTracer
 from repro.workloads.driver import bench_stack
 
 
@@ -18,6 +23,7 @@ def test_parallel_sweep_equals_serial():
     # RunResult equality covers every field including the full counter
     # snapshot, so this is a bit-level determinism check.
     assert serial == parallel
+    assert gc.get_freeze_count() == 0
 
 
 def test_parallel_sweep_preserves_cell_order():
@@ -66,3 +72,60 @@ def test_single_cell_sweep_stays_serial():
                 ops_per_thread=10, sinks=[ring])
     assert ring.total > 0
     assert res["base"][0].ops == 20
+
+
+@pytest.fixture
+def collector_off():
+    """Automatic collection off, so only the sweep's own collection can
+    free a finished cell's machine (a web of reference cycles).  The test
+    body asserts before collection is turned back on: turning it on first
+    can trigger a full collection that hides a leak."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class _MachineRefs(NullTracer):
+    """Drops every event; keeps a weak reference to each machine it is
+    attached to."""
+
+    def __init__(self) -> None:
+        self.refs: list[weakref.ref] = []
+
+    def bind(self, machine) -> None:
+        self.refs.append(weakref.ref(machine))
+
+
+def test_hooked_cells_are_freed(collector_off, monkeypatch):
+    refs = []
+
+    def hook(m):
+        refs.append(weakref.ref(m))
+        m.run()
+
+    monkeypatch.setattr(hooks, "run_hook", hook)
+    sweep(bench_stack, VARIANTS, (2,), ops_per_thread=5)
+    assert len(refs) == 2
+    assert [r() for r in refs] == [None, None]
+    assert gc.get_freeze_count() == 0
+
+
+def test_unhooked_cells_are_freed(collector_off):
+    assert hooks.run_hook is None
+    sink = _MachineRefs()
+    sweep(bench_stack, VARIANTS, (2,), ops_per_thread=5, sinks=[sink])
+    assert len(sink.refs) == 2
+    assert [r() for r in sink.refs] == [None, None]
+    assert gc.get_freeze_count() == 0
+
+
+def test_raising_cell_unfreezes(monkeypatch):
+    def hook(m):
+        raise RuntimeError("cell failed")
+
+    monkeypatch.setattr(hooks, "run_hook", hook)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        sweep(bench_stack, VARIANTS, (2,), ops_per_thread=5)
+    assert gc.get_freeze_count() == 0
