@@ -1,6 +1,8 @@
 """API surface: Machine memory helpers, Ctx helpers, package exports,
 harness run_all."""
 
+from pathlib import Path
+
 import pytest
 
 from conftest import make_machine
@@ -91,6 +93,9 @@ class TestPackageExports:
 
     def test_version(self):
         assert repro.__version__
+        # The packaging metadata carries the same version.
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        assert f'\nversion = "{repro.__version__}"\n' in pyproject.read_text()
 
 
 class TestRunAll:
