@@ -233,7 +233,7 @@ def _build_zoo_counter(m: Machine, variant: str):
         c = McasCounter(m)
         final = c.peek_value
     elif variant == "cas-backoff":
-        c = CasCounter(m, backoff=DhmBackoff())
+        c = CasCounter(m, critical_work=8, backoff=DhmBackoff())
         final = lambda: m.peek(c.value_addr)
     elif variant == "reciprocating":
         c = LockedCounter(m, lock="reciprocating", critical_work=8)
@@ -290,8 +290,8 @@ def _build_zoo_treiber_locked(m: Machine, variant: str):
     """The coarse-lock (reciprocating) stack arm shares the treiber model
     but pushes/pops under one lock."""
     from ..workloads.driver import _locked_stack_worker
-    s = TreiberStack(m, lease_time=LEASE_TIME)
     lock = ReciprocatingLock(m)
+    s = TreiberStack(m, lease_time=LEASE_TIME)
     prefill = [10_000 + j for j in range(3)]
     s.prefill(prefill)
     for _ in range(THREADS):
@@ -302,8 +302,8 @@ def _build_zoo_treiber_locked(m: Machine, variant: str):
 
 def _build_zoo_msqueue_locked(m: Machine, variant: str):
     from ..workloads.driver import _locked_queue_worker
-    q = MichaelScottQueue(m, lease_time=LEASE_TIME)
     lock = ReciprocatingLock(m)
+    q = MichaelScottQueue(m, lease_time=LEASE_TIME)
     prefill = [20_000 + j for j in range(3)]
     q.prefill(prefill)
     for _ in range(THREADS):

@@ -276,7 +276,10 @@ def bench_sync_ablation(num_threads: int, *, structure: str = "treiber",
         controller = AdaptiveLeaseController()
         m.attach_tracer(controller)
     backoff = DhmBackoff() if policy == "cas-backoff" else None
-    lock = ReciprocatingLock(m) if policy == "reciprocating" else None
+    # The counter's reciprocating arm is a LockedCounter that builds its
+    # own lock; the stack and queue arms wrap every op in this one.
+    lock = (ReciprocatingLock(m)
+            if policy == "reciprocating" and structure != "counter" else None)
     expected_count = None
     count_of = None
 

@@ -220,7 +220,7 @@ GOLDEN = {
     "arm-sync_ablation-counter:mcas-helping-t2": "5c4cec409369990b6c65b491",
     "arm-sync_ablation-counter:mcas-helping-t4": "01bc3b0076f3f5c0ce644eea",
     "arm-sync_ablation-counter:reciprocating-t2": "86ee7cb65942d7634686ea04",
-    "arm-sync_ablation-counter:reciprocating-t4": "9b72b652f510b000fe9ec856",
+    "arm-sync_ablation-counter:reciprocating-t4": "a62715f4e471d8346109555d",
     "arm-sync_ablation-msqueue:adaptive-lease-t2": "82051b0a352e780cd9d54bd3",
     "arm-sync_ablation-msqueue:adaptive-lease-t4": "b34ac878dd2f49d5ef457fe3",
     "arm-sync_ablation-msqueue:baseline-t2": "06e35ddbea67ed67d1e777a0",
@@ -286,24 +286,24 @@ GOLDEN = {
     "check-sync_zoo_broken-s3": "615322d8305c9aa7742c0613",
     "check-sync_zoo_broken-s4": "2483330d53272847b11395ef",
     "check-sync_zoo_broken-s5": "c4e6adabcad09882c7f210bc",
-    "check-sync_zoo_counter-s0": "9c627cd0fdd7902447f5fda7",
+    "check-sync_zoo_counter-s0": "e05c3366ad3d6a287138802b",
     "check-sync_zoo_counter-s1": "2dc20744c4f405114b4c1bb9",
     "check-sync_zoo_counter-s2": "1fdd4f840ecb2c30e22241b4",
     "check-sync_zoo_counter-s3": "fef7ab8733f15b37b0dbbc11",
-    "check-sync_zoo_counter-s4": "9c7299a8bb45642a8067d688",
+    "check-sync_zoo_counter-s4": "394ce614a458cfe062b3eba3",
     "check-sync_zoo_counter-s5": "d6dfa760f765cb6e97a55164",
     "check-sync_zoo_msqueue-s0": "faf8760ad6a555ddfa97c58c",
-    "check-sync_zoo_msqueue-s1": "95ff6d1b5f167c04fa895954",
+    "check-sync_zoo_msqueue-s1": "7ff2a20c4221e81a8188192d",
     "check-sync_zoo_msqueue-s2": "ac7a2a5a544f97a4b2d1d24c",
     "check-sync_zoo_msqueue-s3": "b8ea6f81ce181590c193556a",
     "check-sync_zoo_msqueue-s4": "b841f387834073e5c7f0e442",
-    "check-sync_zoo_msqueue-s5": "7da090c913686a673819a3b8",
+    "check-sync_zoo_msqueue-s5": "e2ca2072051c48efdcfc3b79",
     "check-sync_zoo_treiber-s0": "e05c3366ad3d6a287138802b",
-    "check-sync_zoo_treiber-s1": "2e5d77d5ca2353a062e0d762",
+    "check-sync_zoo_treiber-s1": "6f2ddda7f921a5cbf69b5a5a",
     "check-sync_zoo_treiber-s2": "798e0c55dda5eb195bec9e95",
     "check-sync_zoo_treiber-s3": "939edd729545d8fb91074967",
     "check-sync_zoo_treiber-s4": "8c5cc15b46895d41e92e6eba",
-    "check-sync_zoo_treiber-s5": "2c7f5b511976b0fa01af1d3b",
+    "check-sync_zoo_treiber-s5": "838d252bd640969f83a45ffd",
     "check-treiber-s0": "f61a1d6fc0a2e4f20f389d98",
     "check-treiber-s1": "f1882100ed7f47f6879a31d8",
     "check-treiber-s2": "101d88df716fb5b5247f75c2",
