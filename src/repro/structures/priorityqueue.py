@@ -238,6 +238,35 @@ class PughLockPQ:
     def _unlock(self, ctx: Ctx, node: int) -> Generator:
         yield Store(node + P_LOCK_OFF, 0)
 
+    def _lock_preds(self, ctx: Ctx, preds: list, succs: list, h: int,
+                    last: int = NIL) -> Generator[Any, Any, tuple]:
+        """Try-lock the distinct ``preds[:h]`` in key order (head first),
+        then ``last`` if given, and validate that each predecessor is
+        alive and still points at ``succs[lvl]``.  Returns ``(ok,
+        locked)``; the caller unlocks ``locked`` either way."""
+        to_lock = []
+        for lvl in range(h):
+            if preds[lvl] not in to_lock:
+                to_lock.append(preds[lvl])
+        keys = {}
+        for p in to_lock:
+            keys[p] = yield Load(p + P_KEY_OFF)
+        to_lock.sort(key=lambda p: keys[p])
+        if last != NIL:
+            to_lock.append(last)
+        locked = []
+        for p in to_lock:
+            got = yield from self._try_lock(ctx, p)
+            if not got:
+                return False, locked
+            locked.append(p)
+        for lvl in range(h):
+            dead = yield Load(preds[lvl] + P_DEAD_OFF)
+            cur = yield Load(self._next(preds[lvl], lvl))
+            if dead or cur != succs[lvl]:
+                return False, locked
+        return True, locked
+
     # -- operations -----------------------------------------------------------
 
     def insert(self, ctx: Ctx, key) -> Generator:
@@ -261,31 +290,7 @@ class PughLockPQ:
                     break
                 preds[lvl] = pred
                 succs[lvl] = nxt
-            # Lock the distinct predecessors in key order (head first).
-            to_lock = []
-            for lvl in range(h):
-                if preds[lvl] not in to_lock:
-                    to_lock.append(preds[lvl])
-            keys = {}
-            for p in to_lock:
-                keys[p] = yield Load(p + P_KEY_OFF)
-            to_lock.sort(key=lambda p: keys[p])
-            locked = []
-            ok = True
-            for p in to_lock:
-                got = yield from self._try_lock(ctx, p)
-                if not got:
-                    ok = False
-                    break
-                locked.append(p)
-            if ok:
-                # Validate: predecessors alive and still adjacent.
-                for lvl in range(h):
-                    dead = yield Load(preds[lvl] + P_DEAD_OFF)
-                    cur = yield Load(self._next(preds[lvl], lvl))
-                    if dead or cur != succs[lvl]:
-                        ok = False
-                        break
+            ok, locked = yield from self._lock_preds(ctx, preds, succs, h)
             if ok:
                 for lvl in range(h):
                     yield Store(self._next(node, lvl), succs[lvl])
@@ -386,6 +391,8 @@ class LotanShavitPQ(PughLockPQ):
         h = yield Load(victim + P_HEIGHT_OFF)
         while True:
             # Optimistic search for victim's predecessor at each level.
+            # Above its height, stop short of equal keys too, so the lower
+            # levels start before the victim.
             preds = [self.head] * self.max_height
             pred = self.head
             for lvl in range(self.max_height - 1, -1, -1):
@@ -394,40 +401,21 @@ class LotanShavitPQ(PughLockPQ):
                     if nxt == NIL or nxt == victim:
                         break
                     nkey = yield Load(nxt + P_KEY_OFF)
-                    if nkey > key:
+                    if nkey > key or (nkey == key and lvl >= h):
                         break
                     pred = nxt
                 preds[lvl] = pred
-            # Try-lock victim + distinct predecessors (retry on failure;
-            # try-locks keep this deadlock-free regardless of key ties).
-            to_lock = [victim]
-            for lvl in range(h):
-                if preds[lvl] not in to_lock:
-                    to_lock.append(preds[lvl])
-            locked = []
-            ok = True
-            for n in to_lock:
-                got = yield from self._try_lock(ctx, n)
-                if not got:
-                    ok = False
-                    break
-                locked.append(n)
+            # Predecessors first, in insert's key order, then the victim.
+            ok, locked = yield from self._lock_preds(ctx, preds, [victim] * h,
+                                                     h, last=victim)
             if ok:
-                # Unlink at every level where the pred still points at us.
                 for lvl in range(h):
-                    cur = yield Load(self._next(preds[lvl], lvl))
-                    if cur == victim:
-                        nxt = yield Load(self._next(victim, lvl))
-                        yield Store(self._next(preds[lvl], lvl), nxt)
-                still_linked = False
-                for lvl in range(h):
-                    cur = yield Load(self._next(preds[lvl], lvl))
-                    if cur == victim:
-                        still_linked = True
+                    nxt = yield Load(self._next(victim, lvl))
+                    yield Store(self._next(preds[lvl], lvl), nxt)
                 yield Store(victim + P_DEAD_OFF, 1)
             for n in reversed(locked):
                 yield from self._unlock(ctx, n)
-            if ok and not still_linked:
+            if ok:
                 return
             yield Work(SPIN_PAUSE)
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_machine
 
+from repro.config import MachineConfig
 from repro.structures import LotanShavitPQ
-from repro.structures.priorityqueue import L_DEL_OFF
+from repro.structures.priorityqueue import L_DEL_OFF, P_DEAD_OFF
 from repro.workloads import bench_pq
 
 
@@ -120,3 +121,28 @@ def test_bench_pq_lotan_variant():
     r = bench_pq(2, variant="lotan", ops_per_thread=8, prefill=64)
     assert r.ops == 16
     assert r.throughput_ops_per_sec > 0
+
+
+@pytest.mark.parametrize("threads", [4, 8])
+def test_bench_pq_lotan_completes_at_seed_3(threads):
+    """Removal must validate its locked predecessors, lock them before the
+    victim in insert's key order, and start the lower levels before any
+    equal keys; without all three, this run hangs and hits the cycle
+    budget."""
+    r = bench_pq(threads, variant="lotan",
+                 config=MachineConfig(seed=3, max_cycles=200_000))
+    assert r.ops == threads * 40
+
+
+def test_removal_leaves_no_dead_node_linked():
+    """Every node a removal marks dead is unlinked from level 0."""
+    m = make_machine(4, leases=False, seed=3)
+    pq = LotanShavitPQ(m)
+    pq.prefill(range(0, 64, 2))
+    for _ in range(4):
+        m.add_thread(pq.update_worker, 12, key_range=16, local_work=4)
+    m.run()
+    node = m.peek(pq._next(pq.head, 0))
+    while node != 0:
+        assert m.peek(node + P_DEAD_OFF) == 0
+        node = m.peek(pq._next(node, 0))
