@@ -54,6 +54,7 @@ from typing import Any, Callable
 from ..config import MachineConfig
 from ..core.machine import Machine
 from ..engine.event_queue import EventQueue
+from ..workloads.table import populate
 
 
 def _lease_config(num_cores: int, fault_spec: str = "",
@@ -143,15 +144,11 @@ def bench_treiber(quick: bool, fault_spec: str = "",
                   seed: int | None = None) -> dict:
     """The paper's headline workload: a contended lease-enabled Treiber
     stack at high thread count."""
-    from ..structures import TreiberStack
-
     threads = 8 if quick else 16
     ops_per_thread = 25 if quick else 60
     m = Machine(_lease_config(threads, fault_spec, seed))
-    stack = TreiberStack(m)
-    stack.prefill(range(128))
-    for _ in range(threads):
-        m.add_thread(stack.update_worker, ops_per_thread)
+    populate(m, "stack", "lease", threads=threads, ops=ops_per_thread,
+             prefill=range(128))
     m.run()
     res = m.result("treiber")
     return {"ops": res.ops, "events": m.sim.events_processed,
@@ -163,14 +160,10 @@ def bench_counter_lock(quick: bool, fault_spec: str = "",
                        seed: int | None = None) -> dict:
     """The contended TTS+lease lock-based counter (Figure 3a's biggest
     winner -- and the densest emit stream per simulated cycle)."""
-    from ..structures import LockedCounter
-
     threads = 8 if quick else 16
     ops_per_thread = 25 if quick else 60
     m = Machine(_lease_config(threads, fault_spec, seed))
-    counter = LockedCounter(m, lock="tts")
-    for _ in range(threads):
-        m.add_thread(counter.update_worker, ops_per_thread)
+    populate(m, "counter", "tts", threads=threads, ops=ops_per_thread)
     m.run()
     res = m.result("counter")
     return {"ops": res.ops, "events": m.sim.events_processed,
@@ -271,8 +264,6 @@ def bench_fault_degradation(quick: bool, fault_spec: str = "",
     curve in one record.  A caller-supplied ``fault_spec`` is appended as
     an extra ``cli`` rung rather than replacing the grid.
     """
-    from ..structures import TreiberStack
-
     threads = 4 if quick else 8
     ops_per_thread = 15 if quick else 40
     grid = list(_DEGRADATION_GRID)
@@ -285,10 +276,8 @@ def bench_fault_degradation(quick: bool, fault_spec: str = "",
     for label, spec in grid:
         m = Machine(replace(_lease_config(threads, seed=seed),
                             fault_spec=spec))
-        stack = TreiberStack(m)
-        stack.prefill(range(128))
-        for _ in range(threads):
-            m.add_thread(stack.update_worker, ops_per_thread)
+        populate(m, "stack", "lease", threads=threads, ops=ops_per_thread,
+                 prefill=range(128))
         m.run()
         res = m.result("treiber")
         total_ops += res.ops
@@ -321,8 +310,6 @@ def bench_snapshot_roundtrip(quick: bool, fault_spec: str = "",
     """
     import json as _json
 
-    from ..structures import TreiberStack
-
     threads = 4 if quick else 8
     ops_per_thread = 15 if quick else 40
     rounds = 3 if quick else 6
@@ -330,10 +317,8 @@ def bench_snapshot_roundtrip(quick: bool, fault_spec: str = "",
     def build() -> Machine:
         m = Machine(_lease_config(threads, fault_spec, seed))
         m.enable_checkpointing()
-        stack = TreiberStack(m)
-        stack.prefill(range(64))
-        for _ in range(threads):
-            m.add_thread(stack.update_worker, ops_per_thread)
+        populate(m, "stack", "lease", threads=threads, ops=ops_per_thread,
+                 prefill=range(64))
         return m
 
     ref = build()
@@ -388,8 +373,7 @@ def bench_tail_latency(quick: bool, fault_spec: str = "",
     """
     import json as _json
 
-    from ..structures import LockedCounter
-    from ..traffic import TrafficSource, evaluate_slo, traffic_counter_worker
+    from ..traffic import TrafficSource, evaluate_slo
 
     threads = 4 if quick else 8
     ops_per_lane = 12 if quick else 30
@@ -398,12 +382,9 @@ def bench_tail_latency(quick: bool, fault_spec: str = "",
     def build() -> tuple[Machine, TrafficSource]:
         m = Machine(_lease_config(threads, fault_spec, seed))
         m.enable_checkpointing()
-        counter = LockedCounter(m, lock="tts")
-        src = TrafficSource(spec, num_lanes=threads, seed=m.config.seed,
-                            key_range=64, default_ops=ops_per_lane)
-        for t in range(threads):
-            m.add_thread(traffic_counter_worker, counter, src.lane(t))
-        return m, src
+        built = populate(m, "counter", "tts", threads=threads,
+                         ops=ops_per_lane, traffic=spec, traffic_keys=64)
+        return m, built.source
 
     ref_m, ref_src = build()
     ref_m.run()
@@ -504,15 +485,11 @@ _LINK_SAT_SPEC = "link:bw=2,queue=8,flits=4;arb:wrr,weights=2:1;port:dir=2,mem=4
 
 def _link_sat_run(lease: bool, threads: int, ops_per_thread: int,
                   fault_spec: str, seed: int | None):
-    from ..structures import LockedCounter
-
     cfg = _lease_config(threads, fault_spec, seed)
     cfg = cfg.with_leases(lease)
     cfg = replace(cfg, network=replace(cfg.network, spec=_LINK_SAT_SPEC))
     m = Machine(cfg)
-    counter = LockedCounter(m, lock="tts")
-    for _ in range(threads):
-        m.add_thread(counter.update_worker, ops_per_thread)
+    populate(m, "counter", "tts", threads=threads, ops=ops_per_thread)
     m.run()
     return m
 

@@ -20,7 +20,6 @@ deterministically.
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -30,20 +29,12 @@ from ..core.machine import Machine
 from ..errors import (LeaseError, ProtocolError, ReproError, SimulationError,
                       SimulationTimeout)
 from ..core.isa import Load, Store, Work
-from ..structures.counter import CasCounter, LockedCounter
-from ..structures.harris_list import HarrisList
-from ..structures.mcas import McasCounter, McasQueue, McasStack
-from ..structures.msqueue import MichaelScottQueue
-from ..structures.priorityqueue import GlobalLockPQ
-from ..structures.treiber import TreiberStack
-from ..sync.adaptive import AdaptiveLeaseController
-from ..sync.backoff import DhmBackoff
+from ..structures.counter import LockedCounter
 from ..sync.locks import ReciprocatingLock, SPIN_PAUSE
-from ..traffic import (TrafficSource, traffic_counter_worker,
-                       traffic_stack_worker)
+from ..workloads.table import ZOO_ARMS, open_loop, populate
 from .history import HistoryRecorder
 from .linearize import check_history
-from .models import CounterModel, PQModel, QueueModel, SetModel, StackModel
+from .models import CounterModel
 from .perturb import ReplayStrategy, strategy_for_schedule
 from .properties import LeasePropertyTracer, PropertyViolation
 
@@ -63,6 +54,10 @@ LEASE_TIME = 600
 #: Key range for open-loop (``--traffic``) campaign variants: small, so
 #: the even/odd push-pop split and per-key op hashes stay contended.
 TRAFFIC_KEY_RANGE = 16
+#: The adaptive-lease arm's controller, tuned down to campaign scale so
+#: expiries and contractions actually fire inside 32-op runs.
+_ADAPTIVE = {"initial": 120, "min_time": 40, "max_time": LEASE_TIME,
+             "pressure_high": 2}
 
 
 def _cfg(*, leases: bool, mode: str = "hardware",
@@ -81,24 +76,50 @@ def _cfg(*, leases: bool, mode: str = "hardware",
 
 @dataclass(frozen=True)
 class CheckTarget:
-    """One fuzzable structure instance.
+    """One fuzzable structure instance: a row of the structure table
+    (:mod:`repro.workloads.table`) at campaign scale.
 
-    ``build(machine, variant)`` constructs the structure on ``machine``,
-    prefills it, spawns the worker threads, and returns
-    ``(model_factory, final_fn)``: a zero-argument factory for the
-    matching sequential model (preloaded with the prefill) and a
-    zero-argument observer that reads the structure's final state from
-    the backing store in the model's ``snapshot()`` representation --
-    the extra observation that catches lost updates.  ``configs`` maps
-    variant names to machine configs; the campaign cycles through them
-    across schedule indices.
+    ``configs`` maps variant names to machine configs; the campaign cycles
+    through them across schedule indices.  A variant builds as the table
+    variant ``arm`` when set, else as the table variant of its own name,
+    with the target's ``prefill``, constructor ``knobs`` and worker
+    ``sizes``.  ``experiments`` are the harness experiment ids ``repro
+    check`` resolves to this target.  ``builder``, when set, replaces the
+    table build (the must-fail target).
     """
 
     name: str
     title: str
+    family: str
     configs: tuple[tuple[str, MachineConfig], ...]
-    build: Callable[[Machine, str],
-                    tuple[Callable[[], Any], Callable[[], Any]]]
+    arm: str = ""
+    prefill: tuple | None = None
+    knobs: dict = field(default_factory=dict)
+    sizes: dict = field(default_factory=dict)
+    experiments: tuple[str, ...] = ()
+    builder: Callable[[Machine, str], tuple] | None = None
+
+    @property
+    def open_loop(self) -> bool:
+        """Whether every variant runs under ``--traffic``."""
+        return all(open_loop(self.family, self.arm or v)
+                   for v, _ in self.configs)
+
+    def build(self, m: Machine, variant: str, traffic: str = ""
+              ) -> tuple[Callable[[], Any], Callable[[], Any]]:
+        """Build, prefill and spawn on ``m``.  Returns ``(model_factory,
+        final_fn)``: a zero-argument factory for the sequential model
+        (preloaded with the prefill) and a zero-argument observer that
+        reads the final state from the backing store in the model's
+        ``snapshot()`` form -- the extra observation that catches lost
+        updates."""
+        if self.builder is not None:
+            return self.builder(m, variant)
+        built = populate(m, self.family, self.arm or variant,
+                         threads=THREADS, ops=OPS, prefill=self.prefill,
+                         traffic=traffic, traffic_keys=TRAFFIC_KEY_RANGE,
+                         adaptive=_ADAPTIVE, knobs=self.knobs, **self.sizes)
+        return built.model, built.final
 
     def config_for(self, variant: str) -> MachineConfig:
         for name, cfg in self.configs:
@@ -108,146 +129,7 @@ class CheckTarget:
                          f"choices are {[n for n, _ in self.configs]}")
 
 
-# -- target builders ----------------------------------------------------------
-
-def _traffic_source(m: Machine, traffic: str) -> TrafficSource:
-    """One lane per campaign thread, seeded from the machine seed -- the
-    same schedule-independent arrival plan the driver benches use."""
-    return TrafficSource(traffic, num_lanes=THREADS, seed=m.config.seed,
-                         key_range=TRAFFIC_KEY_RANGE, default_ops=OPS)
-
-
-def _build_treiber(m: Machine, variant: str, traffic: str = ""):
-    s = TreiberStack(m, lease_time=LEASE_TIME)
-    prefill = [10_000 + j for j in range(3)]
-    s.prefill(prefill)
-    if traffic:
-        src = _traffic_source(m, traffic)
-        for t in range(THREADS):
-            m.add_thread(traffic_stack_worker, s, src.lane(t))
-    else:
-        for _ in range(THREADS):
-            m.add_thread(s.update_worker, OPS, local_work=4)
-    # drain_direct walks top->bottom; the model keeps bottom->top.
-    return (lambda: StackModel(prefill),
-            lambda: tuple(reversed(s.drain_direct())))
-
-
-def _build_msqueue(m: Machine, variant: str):
-    q = MichaelScottQueue(m, variant="single", lease_time=LEASE_TIME)
-    prefill = [20_000 + j for j in range(3)]
-    q.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(q.update_worker, OPS, local_work=4)
-    return lambda: QueueModel(prefill), lambda: tuple(q.drain_direct())
-
-
-def _build_multilease(m: Machine, variant: str):
-    q = MichaelScottQueue(m, variant="multi", lease_time=LEASE_TIME)
-    prefill = [30_000 + j for j in range(3)]
-    q.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(q.update_worker, OPS, local_work=4)
-    return lambda: QueueModel(prefill), lambda: tuple(q.drain_direct())
-
-
-def _build_counter(m: Machine, variant: str, traffic: str = ""):
-    c = LockedCounter(m, critical_work=8)
-    if traffic:
-        src = _traffic_source(m, traffic)
-        for t in range(THREADS):
-            m.add_thread(traffic_counter_worker, c, src.lane(t))
-    else:
-        for _ in range(THREADS):
-            m.add_thread(c.update_worker, OPS)
-    return lambda: CounterModel(0), lambda: m.peek(c.value_addr)
-
-
-def _build_pq(m: Machine, variant: str):
-    pq = GlobalLockPQ(m)
-    prefill = [40_000 + 2 * j for j in range(4)]
-    pq.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(pq.update_worker, OPS, key_range=64, local_work=4)
-    return lambda: PQModel(prefill), lambda: tuple(pq.keys_direct())
-
-
-def _build_harris(m: Machine, variant: str):
-    lst = HarrisList(m, lease_time=LEASE_TIME)
-    prefill = [1, 4, 7, 10]
-    lst.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(lst.mixed_worker, OPS, key_range=12, update_pct=60)
-    return lambda: SetModel(prefill), lambda: frozenset(lst.keys_direct())
-
-
-# -- contention-management zoo builders ---------------------------------------
-#
-# One target per structure; the campaign cycles the zoo policies as
-# variants, so a budget of 4*N runs N perturbed schedules per policy.
-
-def _zoo_adaptive(m: Machine) -> AdaptiveLeaseController:
-    """A controller tuned down to campaign scale, so expiries and
-    contractions actually fire inside 32-op runs."""
-    ctl = AdaptiveLeaseController(initial=120, min_time=40,
-                                  max_time=LEASE_TIME, pressure_high=2)
-    m.attach_tracer(ctl)
-    return ctl
-
-
-def _build_zoo_treiber(m: Machine, variant: str):
-    if variant == "mcas-helping":
-        s = McasStack(m)
-    elif variant == "cas-backoff":
-        s = TreiberStack(m, lease_time=LEASE_TIME, backoff=DhmBackoff())
-    elif variant == "adaptive-lease":
-        s = TreiberStack(m, lease_policy=_zoo_adaptive(m))
-    else:
-        raise ReproError(f"unknown zoo variant {variant!r}")
-    prefill = [10_000 + j for j in range(3)]
-    s.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(s.update_worker, OPS, local_work=4)
-    return (lambda: StackModel(prefill),
-            lambda: tuple(reversed(s.drain_direct())))
-
-
-def _build_zoo_msqueue(m: Machine, variant: str):
-    if variant == "mcas-helping":
-        q = McasQueue(m)
-    elif variant == "cas-backoff":
-        q = MichaelScottQueue(m, lease_time=LEASE_TIME, backoff=DhmBackoff())
-    elif variant == "adaptive-lease":
-        q = MichaelScottQueue(m, lease_policy=_zoo_adaptive(m))
-    else:
-        raise ReproError(f"unknown zoo variant {variant!r}")
-    prefill = [20_000 + j for j in range(3)]
-    q.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(q.update_worker, OPS, local_work=4)
-    return lambda: QueueModel(prefill), lambda: tuple(q.drain_direct())
-
-
-def _build_zoo_counter(m: Machine, variant: str):
-    if variant == "mcas-helping":
-        c = McasCounter(m)
-        final = c.peek_value
-    elif variant == "cas-backoff":
-        c = CasCounter(m, critical_work=8, backoff=DhmBackoff())
-        final = lambda: m.peek(c.value_addr)
-    elif variant == "reciprocating":
-        c = LockedCounter(m, lock="reciprocating", critical_work=8)
-        final = lambda: m.peek(c.value_addr)
-    elif variant == "adaptive-lease":
-        c = LockedCounter(m, critical_work=8,
-                          lease_policy=_zoo_adaptive(m))
-        final = lambda: m.peek(c.value_addr)
-    else:
-        raise ReproError(f"unknown zoo variant {variant!r}")
-    for _ in range(THREADS):
-        m.add_thread(c.update_worker, OPS)
-    return lambda: CounterModel(0), final
-
+# -- the must-fail target -----------------------------------------------------
 
 class _BrokenReciprocatingLock(ReciprocatingLock):
     """DELIBERATELY BROKEN: acquisition is test-then-store instead of CAS,
@@ -280,99 +162,70 @@ def _build_zoo_broken(m: Machine, variant: str):
     return lambda: CounterModel(0), lambda: m.peek(c.value_addr)
 
 
-_ZOO_CONFIGS = (("cas-backoff", _cfg(leases=False)),
-                ("reciprocating", _cfg(leases=False)),
-                ("mcas-helping", _cfg(leases=False)),
-                ("adaptive-lease", _cfg(leases=True)))
+# -- targets ------------------------------------------------------------------
 
-
-def _build_zoo_treiber_locked(m: Machine, variant: str):
-    """The coarse-lock (reciprocating) stack arm shares the treiber model
-    but pushes/pops under one lock."""
-    from ..workloads.driver import _locked_stack_worker
-    lock = ReciprocatingLock(m)
-    s = TreiberStack(m, lease_time=LEASE_TIME)
-    prefill = [10_000 + j for j in range(3)]
-    s.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(_locked_stack_worker, lock, s, OPS, local_work=4)
-    return (lambda: StackModel(prefill),
-            lambda: tuple(reversed(s.drain_direct())))
-
-
-def _build_zoo_msqueue_locked(m: Machine, variant: str):
-    from ..workloads.driver import _locked_queue_worker
-    lock = ReciprocatingLock(m)
-    q = MichaelScottQueue(m, lease_time=LEASE_TIME)
-    prefill = [20_000 + j for j in range(3)]
-    q.prefill(prefill)
-    for _ in range(THREADS):
-        m.add_thread(_locked_queue_worker, lock, q, OPS, local_work=4)
-    return lambda: QueueModel(prefill), lambda: tuple(q.drain_direct())
-
-
-def _dispatch_zoo(build, locked_build):
-    def _build(m: Machine, variant: str):
-        if variant == "reciprocating":
-            return locked_build(m, variant)
-        return build(m, variant)
-    return _build
-
+_BASE_LEASE = (("base", _cfg(leases=False)), ("lease", _cfg(leases=True)))
+#: The zoo targets cycle its policies as variants, so a budget of 4*N runs
+#: N perturbed schedules per policy.
+_ZOO = tuple((arm, _cfg(leases=arm == "adaptive-lease")) for arm in ZOO_ARMS)
+_LEASED = {"lease_time": LEASE_TIME}
+_PAIRS = {"local_work": 4}
+_STACK = (10_000, 10_001, 10_002)
+_QUEUE = (20_000, 20_001, 20_002)
 
 TARGETS: dict[str, CheckTarget] = {
     t.name: t for t in (
         CheckTarget(
-            "treiber", "Treiber stack (Fig. 1 lease placement)",
-            (("base", _cfg(leases=False)), ("lease", _cfg(leases=True))),
-            _build_treiber),
+            "treiber", "Treiber stack (Fig. 1 lease placement)", "stack",
+            _BASE_LEASE, prefill=_STACK, knobs=_LEASED, sizes=_PAIRS,
+            experiments=("fig2_stack", "e1_backoff")),
         CheckTarget(
-            "msqueue", "Michael-Scott queue, single-lease variant",
-            (("base", _cfg(leases=False)), ("lease", _cfg(leases=True))),
-            _build_msqueue),
+            "msqueue", "Michael-Scott queue, single-lease variant", "queue",
+            _BASE_LEASE, prefill=_QUEUE, knobs=_LEASED, sizes=_PAIRS,
+            experiments=("fig3_queue",)),
         CheckTarget(
             "multilease", "MS queue MultiLease variant (hw + sw emulation)",
-            (("hw", _cfg(leases=True, mode="hardware")),
-             ("sw", _cfg(leases=True, mode="software"))),
-            _build_multilease),
+            "queue", (("hw", _cfg(leases=True, mode="hardware")),
+                      ("sw", _cfg(leases=True, mode="software"))),
+            arm="multilease", prefill=(30_000, 30_001, 30_002),
+            knobs=_LEASED, sizes=_PAIRS),
         CheckTarget(
-            "counter", "Lock-protected counter (leased TTS lock)",
-            (("base", _cfg(leases=False)), ("lease", _cfg(leases=True))),
-            _build_counter),
+            "counter", "Lock-protected counter (leased TTS lock)", "counter",
+            _BASE_LEASE, arm="tts", knobs={"critical_work": 8},
+            experiments=("fig3_counter",)),
         CheckTarget(
-            "pq", "Global-lock skiplist priority queue",
-            (("base", _cfg(leases=False)), ("lease", _cfg(leases=True))),
-            _build_pq),
+            "pq", "Global-lock skiplist priority queue", "pq", _BASE_LEASE,
+            arm="globallock", prefill=(40_000, 40_002, 40_004, 40_006),
+            sizes={"key_range": 64, "local_work": 4},
+            experiments=("fig3_pq",)),
         CheckTarget(
-            "harris", "Harris lock-free list (set semantics)",
-            (("base", _cfg(leases=False)), ("lease", _cfg(leases=True))),
-            _build_harris),
+            "harris", "Harris lock-free list (set semantics)", "list",
+            _BASE_LEASE, prefill=(1, 4, 7, 10), knobs=_LEASED,
+            sizes={"key_range": 12, "update_pct": 60},
+            experiments=("e2_low_contention_list",)),
         CheckTarget(
             "sync_zoo_treiber", "Contention zoo: Treiber stack policies",
-            _ZOO_CONFIGS,
-            _dispatch_zoo(_build_zoo_treiber, _build_zoo_treiber_locked)),
+            "stack", _ZOO, prefill=_STACK, knobs=_LEASED, sizes=_PAIRS,
+            experiments=("sync_ablation",)),
         CheckTarget(
-            "sync_zoo_msqueue", "Contention zoo: MS queue policies",
-            _ZOO_CONFIGS,
-            _dispatch_zoo(_build_zoo_msqueue, _build_zoo_msqueue_locked)),
+            "sync_zoo_msqueue", "Contention zoo: MS queue policies", "queue",
+            _ZOO, prefill=_QUEUE, knobs=_LEASED, sizes=_PAIRS),
         CheckTarget(
             "sync_zoo_counter", "Contention zoo: counter policies",
-            _ZOO_CONFIGS, _build_zoo_counter),
+            "counter", _ZOO, knobs={"critical_work": 8}),
         CheckTarget(
             "sync_zoo_broken", "Must-fail: test-then-store lock (broken)",
-            (("broken", _cfg(leases=False)),), _build_zoo_broken),
+            "counter", (("broken", _cfg(leases=False)),),
+            arm="reciprocating", builder=_build_zoo_broken),
     )
 }
 
 #: ``repro check <experiment>`` accepts harness experiment ids too.
 EXPERIMENT_ALIASES: dict[str, str] = {
-    "fig2_stack": "treiber",
-    "fig3_counter": "counter",
-    "fig3_queue": "msqueue",
-    "fig3_pq": "pq",
-    "e1_backoff": "treiber",
-    "e2_low_contention_list": "harris",
-    "sync_ablation": "sync_zoo_treiber",
-}
+    exp: t.name for t in TARGETS.values() for exp in t.experiments}
+#: The targets ``--traffic`` applies to.
+OPEN_LOOP_TARGETS = tuple(sorted(n for n, t in TARGETS.items()
+                                 if t.open_loop))
 
 
 def resolve_target(name: str) -> CheckTarget:
@@ -423,14 +276,11 @@ def run_once(target: CheckTarget, variant: str, cfg: MachineConfig,
     m = Machine(cfg, schedule_strategy=strategy)
     hist = m.attach_tracer(HistoryRecorder())
     props = m.attach_tracer(LeasePropertyTracer())
-    if traffic:
-        if "traffic" not in inspect.signature(target.build).parameters:
-            raise ReproError(
-                f"check target {target.name!r} has no open-loop variant "
-                "(--traffic works with: counter, treiber)")
-        model_factory, final_fn = target.build(m, variant, traffic=traffic)
-    else:
-        model_factory, final_fn = target.build(m, variant)
+    if traffic and not target.open_loop:
+        raise ReproError(
+            f"check target {target.name!r} has no open-loop variant "
+            f"(--traffic works with: {', '.join(OPEN_LOOP_TARGETS)})")
+    model_factory, final_fn = target.build(m, variant, traffic)
 
     def outcome(ok: bool, kind: str, detail: str,
                 decided: bool = True) -> RunOutcome:

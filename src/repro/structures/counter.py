@@ -110,6 +110,10 @@ class LockedCounter:
     def read(self, ctx: Ctx) -> Generator[Any, Any, int]:
         return (yield Load(self.value_addr))
 
+    def peek_value(self) -> int:
+        """The counter value in the backing store (no traffic)."""
+        return self.machine.peek(self.value_addr)
+
     # -- worker -------------------------------------------------------------
 
     def update_worker(self, ctx: Ctx, ops: int) -> Generator:
@@ -163,6 +167,10 @@ class CasCounter:
 
     def read(self, ctx: Ctx) -> Generator[Any, Any, int]:
         return (yield Load(self.value_addr))
+
+    def peek_value(self) -> int:
+        """The counter value in the backing store (no traffic)."""
+        return self.machine.peek(self.value_addr)
 
     def update_worker(self, ctx: Ctx, ops: int) -> Generator:
         for _ in range(ops):

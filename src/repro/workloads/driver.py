@@ -13,23 +13,13 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from ..config import MachineConfig
-from ..core.isa import Work
 from ..core.machine import Machine
 from ..stats import RunResult
 from ..trace import Tracer
-from ..structures import (CasCounter, GlobalLockPQ, HarrisList,
-                          LockFreeSkipList, LockedCounter, LockedExternalBST,
-                          LockedHashTable, LotanShavitPQ, McasCounter,
-                          McasQueue, McasStack, MichaelScottQueue, MultiQueue,
-                          PughLockPQ, TreiberStack)
+from ..structures import MultiQueue
 from ..stm import TL2Objects
 from ..apps import PagerankApp, SnapshotRegion
-from ..sync.adaptive import AdaptiveLeaseController
-from ..sync.backoff import DhmBackoff, ExponentialBackoff
-from ..sync.locks import ReciprocatingLock
-from ..traffic import (TrafficSource, parse_traffic_spec,
-                       traffic_counter_worker, traffic_search_worker,
-                       traffic_stack_worker)
+from .table import SYNC_POLICIES, populate
 
 #: Key range handed to traffic key distributions when the structure under
 #: test has no keys of its own (counter: keys only steer the arrival
@@ -80,18 +70,6 @@ def _finish(m: Machine, name: str, *, traffic_source=None,
     return res
 
 
-def _traffic_source(cfg: MachineConfig, traffic: str, num_threads: int, *,
-                    key_range: int, default_ops: int) -> TrafficSource | None:
-    """Build the run's traffic source, or None for a closed-loop run.
-    Seeded from the *post-override* config seed so ``--seed`` reaches the
-    arrival streams the same way it reaches per-thread RNGs."""
-    spec = parse_traffic_spec(traffic)
-    if spec.empty:
-        return None
-    return TrafficSource(spec, num_lanes=num_threads, seed=cfg.seed,
-                         key_range=key_range, default_ops=default_ops)
-
-
 # ---------------------------------------------------------------------------
 # Figure 2: Treiber stack, 100% updates
 # ---------------------------------------------------------------------------
@@ -111,18 +89,10 @@ def bench_stack(num_threads: int, *, ops_per_thread: int = 60,
         kw["max_lease_time"] = max_lease_time
     cfg = _config(num_threads, variant == "lease", config, **kw)
     m = _machine(cfg, sinks, schedule)
-    backoff = ExponentialBackoff() if variant == "backoff" else None
-    stack = TreiberStack(m, backoff=backoff)
-    stack.prefill(range(prefill))
-    src = _traffic_source(cfg, traffic, num_threads,
-                          key_range=_TRAFFIC_KEY_RANGE,
-                          default_ops=ops_per_thread)
-    for i in range(num_threads):
-        if src is not None:
-            m.add_thread(traffic_stack_worker, stack, src.lane(i))
-        else:
-            m.add_thread(stack.update_worker, ops_per_thread)
-    return _finish(m, f"stack/{variant}", traffic_source=src)
+    built = populate(m, "stack", variant, threads=num_threads,
+                     ops=ops_per_thread, prefill=range(prefill),
+                     traffic=traffic, traffic_keys=_TRAFFIC_KEY_RANGE)
+    return _finish(m, f"stack/{variant}", traffic_source=built.source)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +109,8 @@ def bench_queue(num_threads: int, *, ops_per_thread: int = 60,
     use_lease = variant in ("lease", "multilease")
     cfg = _config(num_threads, use_lease, config)
     m = _machine(cfg, sinks, schedule)
-    backoff = ExponentialBackoff() if variant == "backoff" else None
-    q = MichaelScottQueue(
-        m, variant="multi" if variant == "multilease" else "single",
-        backoff=backoff)
-    q.prefill(range(prefill))
-    for _ in range(num_threads):
-        m.add_thread(q.update_worker, ops_per_thread)
+    populate(m, "queue", variant, threads=num_threads, ops=ops_per_thread,
+             prefill=range(prefill))
     return _finish(m, f"queue/{variant}")
 
 
@@ -169,21 +134,17 @@ def bench_counter(num_threads: int, *, ops_per_thread: int = 60,
         kw["max_lease_time"] = max_lease_time
     cfg = _config(num_threads, use_lease, config, **kw)
     m = _machine(cfg, sinks, schedule)
-    counter = LockedCounter(m, lock=variant, misuse=misuse)
-    src = _traffic_source(cfg, traffic, num_threads,
-                          key_range=_TRAFFIC_KEY_RANGE,
-                          default_ops=ops_per_thread)
-    for i in range(num_threads):
-        if src is not None:
-            m.add_thread(traffic_counter_worker, counter, src.lane(i))
-        else:
-            m.add_thread(counter.update_worker, ops_per_thread)
+    built = populate(m, "counter", variant, threads=num_threads,
+                     ops=ops_per_thread, traffic=traffic,
+                     traffic_keys=_TRAFFIC_KEY_RANGE,
+                     knobs={"misuse": misuse})
+    src = built.source
     res = _finish(m, f"counter/{variant}{'+lease' if use_lease else ''}",
                   traffic_source=src)
     # Open-loop: only admitted ops run (shed arrivals must NOT count).
     expected = (src.admitted if src is not None
                 else num_threads * ops_per_thread)
-    actual = m.peek(counter.value_addr)
+    actual = built.final()
     if actual != expected:
         raise AssertionError(
             f"counter lost updates: {actual} != {expected}")
@@ -194,50 +155,9 @@ def bench_counter(num_threads: int, *, ops_per_thread: int = 60,
 # Contention-management zoo: {policy} x {structure} ablation
 # ---------------------------------------------------------------------------
 
-#: The six contention-management arms of the zoo sweep.
-SYNC_POLICIES = ("baseline", "lease", "cas-backoff", "reciprocating",
-                 "mcas-helping", "adaptive-lease")
-#: The structures every arm runs on.
-SYNC_STRUCTURES = ("treiber", "msqueue", "counter")
-
-
-def _locked_stack_worker(ctx, lock, stack, ops: int,
-                         local_work: int = 30):
-    """Stack update worker with every op inside ``lock``'s critical
-    section (the coarse-lock arm of the zoo)."""
-    for i in range(ops):
-        start = ctx.machine.now
-        token = yield from lock.acquire(ctx)
-        if i % 2 == 0:
-            value = (ctx.tid << 32) | i
-            yield from stack.push(ctx, value)
-            yield from lock.release(ctx, token)
-            ctx.note_op("push", (value,), None, start)
-        else:
-            popped = yield from stack.pop(ctx)
-            yield from lock.release(ctx, token)
-            ctx.note_op("pop", (), popped, start)
-        if local_work:
-            yield Work(local_work)
-
-
-def _locked_queue_worker(ctx, lock, q, ops: int, local_work: int = 30):
-    """Queue update worker with every op inside ``lock``'s critical
-    section (the coarse-lock arm of the zoo)."""
-    for i in range(ops):
-        start = ctx.machine.now
-        token = yield from lock.acquire(ctx)
-        if i % 2 == 0:
-            value = (ctx.tid << 32) | i
-            yield from q.enqueue(ctx, value)
-            yield from lock.release(ctx, token)
-            ctx.note_op("enqueue", (value,), None, start)
-        else:
-            taken = yield from q.dequeue(ctx)
-            yield from lock.release(ctx, token)
-            ctx.note_op("dequeue", (), taken, start)
-        if local_work:
-            yield Work(local_work)
+#: The structures every arm runs on, and their table rows.
+_SYNC_ROWS = {"treiber": "stack", "msqueue": "queue", "counter": "counter"}
+SYNC_STRUCTURES = tuple(_SYNC_ROWS)
 
 
 def bench_sync_ablation(num_threads: int, *, structure: str = "treiber",
@@ -271,75 +191,16 @@ def bench_sync_ablation(num_threads: int, *, structure: str = "treiber",
         kw["max_lease_time"] = max_lease_time
     cfg = _config(num_threads, use_lease, config, **kw)
     m = _machine(cfg, sinks, schedule)
-    controller = None
-    if policy == "adaptive-lease":
-        controller = AdaptiveLeaseController()
-        m.attach_tracer(controller)
-    backoff = DhmBackoff() if policy == "cas-backoff" else None
-    # The counter's reciprocating arm is a LockedCounter that builds its
-    # own lock; the stack and queue arms wrap every op in this one.
-    lock = (ReciprocatingLock(m)
-            if policy == "reciprocating" and structure != "counter" else None)
-    expected_count = None
-    count_of = None
-
-    if structure == "counter":
-        if policy == "mcas-helping":
-            c = McasCounter(m)
-            count_of = c.peek_value
-        elif policy == "cas-backoff":
-            # Same critical-section work as the locked arms (40 cycles
-            # between load and CAS), so the cross-arm claim compares
-            # contention management, not critical-section length.
-            c = CasCounter(m, critical_work=40, backoff=backoff)
-            count_of = lambda: m.peek(c.value_addr)
-        elif policy == "reciprocating":
-            c = LockedCounter(m, lock="reciprocating")
-            count_of = lambda: m.peek(c.value_addr)
-        else:
-            c = LockedCounter(m, lock="tts", lease_policy=controller)
-            count_of = lambda: m.peek(c.value_addr)
-        for _ in range(num_threads):
-            m.add_thread(c.update_worker, ops_per_thread)
-        expected_count = num_threads * ops_per_thread
-        stats_of = getattr(c, "stats", None)
-    elif structure == "treiber":
-        if policy == "mcas-helping":
-            s = McasStack(m)
-        else:
-            s = TreiberStack(m, backoff=backoff, lease_policy=controller)
-        s.prefill(range(prefill))
-        for _ in range(num_threads):
-            if lock is not None:
-                m.add_thread(_locked_stack_worker, lock, s, ops_per_thread)
-            else:
-                m.add_thread(s.update_worker, ops_per_thread)
-        stats_of = getattr(s, "stats", None)
-    else:  # msqueue
-        if policy == "mcas-helping":
-            q = McasQueue(m)
-        else:
-            q = MichaelScottQueue(m, backoff=backoff,
-                                  lease_policy=controller)
-        q.prefill(range(prefill))
-        for _ in range(num_threads):
-            if lock is not None:
-                m.add_thread(_locked_queue_worker, lock, q, ops_per_thread)
-            else:
-                m.add_thread(q.update_worker, ops_per_thread)
-        stats_of = getattr(q, "stats", None)
-
+    built = populate(m, _SYNC_ROWS[structure], policy, threads=num_threads,
+                     ops=ops_per_thread, prefill=range(prefill))
     res = _finish(m, f"sync/{structure}/{policy}")
-    if stats_of is not None:
-        res.extra.update(stats_of())
-    if controller is not None:
-        res.extra.update(controller.stats())
-    if expected_count is not None:
-        actual = count_of()
-        if actual != expected_count:
+    res.extra.update(built.stats())
+    if structure == "counter":
+        actual = built.final()
+        if actual != num_threads * ops_per_thread:
             raise AssertionError(
                 f"counter lost updates under {policy}: "
-                f"{actual} != {expected_count}")
+                f"{actual} != {num_threads * ops_per_thread}")
     return res
 
 
@@ -357,15 +218,8 @@ def bench_pq(num_threads: int, *, ops_per_thread: int = 40,
     lock, no leases), or 'lease' (global lock + leases)."""
     cfg = _config(num_threads, variant == "lease", config)
     m = _machine(cfg, sinks, schedule)
-    if variant == "pugh":
-        pq = PughLockPQ(m)
-    elif variant == "lotan":
-        pq = LotanShavitPQ(m)
-    else:
-        pq = GlobalLockPQ(m)
-    pq.prefill(range(0, 2 * prefill, 2))
-    for _ in range(num_threads):
-        m.add_thread(pq.update_worker, ops_per_thread)
+    populate(m, "pq", variant, threads=num_threads, ops=ops_per_thread,
+             prefill=range(0, 2 * prefill, 2))
     return _finish(m, f"pq/{variant}")
 
 
@@ -471,28 +325,21 @@ def bench_snapshot(num_threads: int, *, ops_per_thread: int = 15,
 # Section 7 low-contention structures (20% updates, 80% searches)
 # ---------------------------------------------------------------------------
 
-def _bench_search_structure(cls, name: str, num_threads: int,
+def _bench_search_structure(family: str, num_threads: int,
                             ops_per_thread: int, key_range: int,
                             update_pct: int, use_lease: bool,
                             config: MachineConfig | None,
                             traffic: str = "",
                             sinks: Sequence[Tracer] | None = None,
-                            schedule: Any = None,
-                            **cls_kw: Any) -> RunResult:
+                            schedule: Any = None) -> RunResult:
     cfg = _config(num_threads, use_lease, config)
     m = _machine(cfg, sinks, schedule)
-    s = cls(m, **cls_kw)
-    s.prefill(range(0, key_range, 2))
-    src = _traffic_source(cfg, traffic, num_threads, key_range=key_range,
-                          default_ops=ops_per_thread)
-    for i in range(num_threads):
-        if src is not None:
-            m.add_thread(traffic_search_worker, s, src.lane(i), update_pct)
-        else:
-            m.add_thread(s.mixed_worker, ops_per_thread, key_range,
-                         update_pct)
-    return _finish(m, f"{name}/{'lease' if use_lease else 'base'}",
-                   traffic_source=src)
+    variant = "lease" if use_lease else "base"
+    built = populate(m, family, variant, threads=num_threads,
+                     ops=ops_per_thread, prefill=range(0, key_range, 2),
+                     traffic=traffic, traffic_keys=key_range,
+                     key_range=key_range, update_pct=update_pct)
+    return _finish(m, f"{family}/{variant}", traffic_source=built.source)
 
 
 def bench_harris_list(num_threads: int, *, ops_per_thread: int = 40,
@@ -502,7 +349,7 @@ def bench_harris_list(num_threads: int, *, ops_per_thread: int = 40,
                       sinks: Sequence[Tracer] | None = None,
                       schedule: Any = None) -> RunResult:
     """Harris lock-free list at 20% updates (Section 7 low contention)."""
-    return _bench_search_structure(HarrisList, "list", num_threads,
+    return _bench_search_structure("list", num_threads,
                                    ops_per_thread, key_range, update_pct,
                                    use_lease, config, sinks=sinks,
                                    schedule=schedule)
@@ -517,7 +364,7 @@ def bench_skiplist(num_threads: int, *, ops_per_thread: int = 40,
     """Lock-free skiplist at 20% updates (Section 7 low contention).  A
     non-empty ``traffic`` spec switches to open-loop: admitted keys are
     the operation keys and the op kind is hashed from them."""
-    return _bench_search_structure(LockFreeSkipList, "skiplist", num_threads,
+    return _bench_search_structure("skiplist", num_threads,
                                    ops_per_thread, key_range, update_pct,
                                    use_lease, config, traffic=traffic,
                                    sinks=sinks, schedule=schedule)
@@ -530,7 +377,7 @@ def bench_hashtable(num_threads: int, *, ops_per_thread: int = 40,
                     sinks: Sequence[Tracer] | None = None,
                     schedule: Any = None) -> RunResult:
     """Lock-striped hash table at 20% updates (Section 7 low contention)."""
-    return _bench_search_structure(LockedHashTable, "hashtable", num_threads,
+    return _bench_search_structure("hashtable", num_threads,
                                    ops_per_thread, key_range, update_pct,
                                    use_lease, config, sinks=sinks,
                                    schedule=schedule)
@@ -543,7 +390,7 @@ def bench_bst(num_threads: int, *, ops_per_thread: int = 40,
               sinks: Sequence[Tracer] | None = None,
               schedule: Any = None) -> RunResult:
     """External BST at 20% updates (Section 7 low contention)."""
-    return _bench_search_structure(LockedExternalBST, "bst", num_threads,
+    return _bench_search_structure("bst", num_threads,
                                    ops_per_thread, key_range, update_pct,
                                    use_lease, config, sinks=sinks,
                                    schedule=schedule)

@@ -6,6 +6,7 @@ from typing import Any, Generator
 import pytest
 
 import repro.check.campaign as campaign
+import repro.workloads.table as table
 from repro.check import (HistoryRecorder, LeasePropertyTracer,
                          PropertyViolation, ReplayStrategy, TARGETS,
                          load_repro, replay_repro, resolve_target,
@@ -110,7 +111,7 @@ class _BrokenTreiberStack(TreiberStack):
 
 @pytest.fixture
 def broken_treiber(monkeypatch):
-    monkeypatch.setattr(campaign, "TreiberStack", _BrokenTreiberStack)
+    monkeypatch.setattr(table, "TreiberStack", _BrokenTreiberStack)
 
 
 def test_injected_bug_is_caught_and_replayable(broken_treiber, tmp_path):

@@ -243,10 +243,10 @@ def test_check_injected_bug_exit_code_and_replay(tmp_path, monkeypatch,
     """End to end: a seeded campaign finds the injected linearizability
     bug, exits nonzero, writes a repro file, and `check replay` on that
     file reproduces the failure deterministically."""
-    import repro.check.campaign as campaign
+    import repro.workloads.table as table
     from test_check_campaign import _BrokenTreiberStack
 
-    monkeypatch.setattr(campaign, "TreiberStack", _BrokenTreiberStack)
+    monkeypatch.setattr(table, "TreiberStack", _BrokenTreiberStack)
     repro_path = tmp_path / "r.json"
     rc = main(["check", "treiber", "--budget", "200", "--seed", "7",
                "--save", str(repro_path)])

@@ -47,9 +47,10 @@ def test_fault_campaign_is_deterministic():
 def test_fault_repro_file_round_trips(tmp_path, monkeypatch):
     """A failure found under faults is recorded with its fault spec and
     replays with the same faults installed."""
+    import repro.workloads.table as table
     from test_check_campaign import _BrokenTreiberStack
 
-    monkeypatch.setattr(campaign, "TreiberStack", _BrokenTreiberStack)
+    monkeypatch.setattr(table, "TreiberStack", _BrokenTreiberStack)
     rep = run_campaign("treiber", budget=200, seed=7,
                        fault_spec=FUZZ_SPEC)
     assert not rep.ok

@@ -83,11 +83,6 @@ def _check_cell(name: str, index: int, traffic: str = "") -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-def _takes_traffic(name: str) -> bool:
-    target = campaign.TARGETS[name]
-    return "traffic" in inspect.signature(target.build).parameters
-
-
 def _cells() -> dict:
     """Cell id -> zero-argument callable returning the cell's digest."""
     cells = {}
@@ -104,7 +99,7 @@ def _cells() -> dict:
         for index in SCHEDULES:
             cells[f"check-{name}-s{index}"] = partial(_check_cell, name,
                                                       index)
-        if _takes_traffic(name):
+        if campaign.TARGETS[name].open_loop:
             cells[f"check-{name}-traffic-s1"] = partial(_check_cell, name, 1,
                                                         TRAFFIC)
     return cells
@@ -262,6 +257,7 @@ GOLDEN = {
     "check-harris-s3": "55dc38e60a1425929fcd1d03",
     "check-harris-s4": "01bc176380fe8497eeb96936",
     "check-harris-s5": "83880875dce1edc1a40326f1",
+    "check-harris-traffic-s1": "c343554ea9cb2aefe7165386",
     "check-msqueue-s0": "d7784ba62e7c2d553d2efbb7",
     "check-msqueue-s1": "53e914df10e1c85f4aa94712",
     "check-msqueue-s2": "9c9cae745a0c673bba337c1b",
