@@ -90,6 +90,7 @@ import dataclasses
 import json
 import sys
 
+from .check.campaign import OPEN_LOOP_TARGETS
 from .cluster import parse_cluster_spec
 from .coherence.links import parse_network_spec
 from .config import MachineConfig
@@ -437,8 +438,8 @@ _CHECK_REFUSALS = {
         "(e.g. 'loss:p=0.1;skew:80'), not --faults",
     ("cluster_lease", "--traffic"):
         "check cluster_lease: --traffic applies to the single-machine "
-        "targets (counter, treiber); the cluster campaign drives its own "
-        "workload",
+        f"targets ({', '.join(OPEN_LOOP_TARGETS)}); the cluster campaign "
+        "drives its own workload",
 }
 
 
@@ -834,8 +835,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "reproduces the same faults")
     check_p.add_argument("--traffic", default=None, metavar="SPEC",
                          help="fuzz the open-loop workload variant under "
-                              "this arrival spec (targets: counter, "
-                              "treiber); recorded in repro files")
+                              "this arrival spec (targets: "
+                              f"{', '.join(OPEN_LOOP_TARGETS)}); recorded "
+                              "in repro files")
     check_p.add_argument("--nodes", default=None, metavar="N",
                          help="(cluster_lease) pin the node count instead "
                               "of sweeping 2..5")

@@ -172,13 +172,16 @@ _LEASED = {"lease_time": LEASE_TIME}
 _PAIRS = {"local_work": 4}
 _STACK = (10_000, 10_001, 10_002)
 _QUEUE = (20_000, 20_001, 20_002)
+_PQ = {"prefill": (40_000, 40_002, 40_004, 40_006),
+       "sizes": {"key_range": 64, "local_work": 4}}
+_SET = {"prefill": (1, 4, 7, 10), "sizes": {"key_range": 12, "update_pct": 60}}
 
 TARGETS: dict[str, CheckTarget] = {
     t.name: t for t in (
         CheckTarget(
             "treiber", "Treiber stack (Fig. 1 lease placement)", "stack",
             _BASE_LEASE, prefill=_STACK, knobs=_LEASED, sizes=_PAIRS,
-            experiments=("fig2_stack", "e1_backoff")),
+            experiments=("fig2_stack", "e1_backoff", "e3_messages_per_op")),
         CheckTarget(
             "msqueue", "Michael-Scott queue, single-lease variant", "queue",
             _BASE_LEASE, prefill=_QUEUE, knobs=_LEASED, sizes=_PAIRS,
@@ -195,14 +198,25 @@ TARGETS: dict[str, CheckTarget] = {
             experiments=("fig3_counter",)),
         CheckTarget(
             "pq", "Global-lock skiplist priority queue", "pq", _BASE_LEASE,
-            arm="globallock", prefill=(40_000, 40_002, 40_004, 40_006),
-            sizes={"key_range": 64, "local_work": 4},
-            experiments=("fig3_pq",)),
+            arm="globallock", experiments=("fig3_pq",), **_PQ),
+        CheckTarget(
+            "lotan", "Lotan-Shavit skiplist priority queue (literal)", "pq",
+            _BASE_LEASE, arm="lotan", **_PQ),
         CheckTarget(
             "harris", "Harris lock-free list (set semantics)", "list",
-            _BASE_LEASE, prefill=(1, 4, 7, 10), knobs=_LEASED,
-            sizes={"key_range": 12, "update_pct": 60},
-            experiments=("e2_low_contention_list",)),
+            _BASE_LEASE, knobs=_LEASED,
+            experiments=("e2_low_contention_list",), **_SET),
+        CheckTarget(
+            "skiplist", "Lock-free skiplist (set semantics)", "skiplist",
+            _BASE_LEASE, knobs=_LEASED,
+            experiments=("e2_low_contention_skiplist",), **_SET),
+        CheckTarget(
+            "hashtable", "Lock-striped hash table (set semantics)",
+            "hashtable", _BASE_LEASE,
+            experiments=("e2_low_contention_hashtable",), **_SET),
+        CheckTarget(
+            "bst", "External BST (set semantics)", "bst", _BASE_LEASE,
+            experiments=("e2_low_contention_bst",), **_SET),
         CheckTarget(
             "sync_zoo_treiber", "Contention zoo: Treiber stack policies",
             "stack", _ZOO, prefill=_STACK, knobs=_LEASED, sizes=_PAIRS,

@@ -9,8 +9,9 @@ every stream is dry and the queue drained, it exits.
 
 Every op still goes through ``ctx.note_op`` with its arguments and
 result, so open-loop histories stay checkable by the linearizability
-checker (``check counter/treiber --traffic ...``), and records its
-enqueue->complete latency into the lane histogram.
+checker (``repro check <target> --traffic ...`` on the counter, the
+Treiber stack and the set targets), and records its enqueue->complete
+latency into the lane histogram.
 """
 
 from __future__ import annotations

@@ -35,9 +35,53 @@ def test_experiment_aliases_name_experiments_and_targets():
         assert target in TARGETS, f"alias {alias!r} -> unknown {target!r}"
 
 
+@pytest.mark.parametrize("experiment,target", [
+    ("e2_low_contention_skiplist", "skiplist"),
+    ("e2_low_contention_hashtable", "hashtable"),
+    ("e2_low_contention_bst", "bst"),
+    ("e3_messages_per_op", "treiber"),
+    ("skiplist", "skiplist"),
+])
+def test_section7_experiments_resolve(experiment, target):
+    assert resolve_target(experiment) is TARGETS[target]
+
+
 def test_resolve_target_unknown_raises():
     with pytest.raises(ReproError, match="unknown check target"):
         resolve_target("nope")
+
+
+# -- open-loop targets ---------------------------------------------------------
+
+def test_open_loop_targets_come_from_the_table():
+    """Rows with an open-loop worker take --traffic; the queue, the PQs
+    and every zoo target (whose locked arm has none) do not."""
+    assert campaign.OPEN_LOOP_TARGETS == (
+        "bst", "counter", "harris", "hashtable", "skiplist", "treiber")
+
+
+def test_closed_loop_target_refuses_traffic():
+    with pytest.raises(ReproError, match="'msqueue' has no open-loop "
+                       r"variant \(--traffic works with: bst, counter, "):
+        run_campaign("msqueue", budget=1, traffic="poisson:rate=2.0")
+
+
+@pytest.mark.parametrize("spec", [
+    "poisson:rate=2.0,zipf:s=1.1,tenants=2",
+    "burst:rate=4.0,on=400,off=400,queue=8",
+])
+def test_open_loop_campaign_on_a_set_target(spec):
+    rep = run_campaign("skiplist", budget=10, seed=1, traffic=spec)
+    assert rep.ok, f"{rep.failure.kind}: {rep.failure.detail}"
+    assert rep.ops_checked > 0
+
+
+@pytest.mark.parametrize("seed,budget", [(1, 5), (3, 1)])
+def test_lotan_target_passes_its_former_hang_schedules(seed, budget):
+    """Before removal validated its locked predecessors, schedule 4 at
+    seed 1 and schedule 0 at seed 3 timed out."""
+    rep = run_campaign("lotan", budget=budget, seed=seed)
+    assert rep.ok, f"{rep.failure.kind}: {rep.failure.detail}"
 
 
 @pytest.mark.parametrize("name", sorted(set(TARGETS) - {"sync_zoo_broken"}))

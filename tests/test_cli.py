@@ -447,6 +447,16 @@ def test_check_list_targets(capsys):
     assert "fig2_stack->treiber" in out
 
 
+def test_check_traffic_on_closed_loop_target_exits_two(capsys):
+    from repro.check.campaign import OPEN_LOOP_TARGETS
+
+    assert main(["check", "msqueue", "--budget", "1",
+                 "--traffic", "poisson:rate=2.0"]) == 2
+    err = capsys.readouterr().err
+    assert "'msqueue' has no open-loop variant" in err
+    assert f"--traffic works with: {', '.join(OPEN_LOOP_TARGETS)}" in err
+
+
 def test_check_requires_target_or_list(capsys):
     assert main(["check"]) == 2
     assert "--list-targets" in capsys.readouterr().err

@@ -244,6 +244,13 @@ GOLDEN = {
     "arm-treiber-base-t4": "8a1232dc5408268dd53e4d1b",
     "arm-treiber-lease-t2": "5480bb0a79606d3e96253d0d",
     "arm-treiber-lease-t4": "f2e9d11555551e18922d4154",
+    "check-bst-s0": "661734e3e8560017dcd1a681",
+    "check-bst-s1": "65a0bebce103e65cba7f56f3",
+    "check-bst-s2": "8701fb7e8233addcc4634719",
+    "check-bst-s3": "80ad436979f81a34adc9cabb",
+    "check-bst-s4": "bda897bc388713c09c43bbb4",
+    "check-bst-s5": "49b850e1aa983cad9d674d49",
+    "check-bst-traffic-s1": "3db9bc8913e2fe45c0e9673a",
     "check-counter-s0": "dcc9fc6f035049334be1f43e",
     "check-counter-s1": "693e52e758333eeed1a72054",
     "check-counter-s2": "c3ea6077eed18e044f9f6b27",
@@ -258,6 +265,19 @@ GOLDEN = {
     "check-harris-s4": "01bc176380fe8497eeb96936",
     "check-harris-s5": "83880875dce1edc1a40326f1",
     "check-harris-traffic-s1": "c343554ea9cb2aefe7165386",
+    "check-hashtable-s0": "0a4b7c95ad4322d161c93723",
+    "check-hashtable-s1": "29b93b29d30be90dd3a742b0",
+    "check-hashtable-s2": "571a04dacfab7e462a6b280e",
+    "check-hashtable-s3": "6c589d27a91e7ebbcf2f0b08",
+    "check-hashtable-s4": "64b28c68cf7cdcc94096875d",
+    "check-hashtable-s5": "26f76c0b803a5d1253c42f3a",
+    "check-hashtable-traffic-s1": "4b1889eb871243631b0fc845",
+    "check-lotan-s0": "fbad6a5efabd3eb015f4a39c",
+    "check-lotan-s1": "dccb7c31cdfe852d627cb8e3",
+    "check-lotan-s2": "dc0d0257bdd4fb0464804f9d",
+    "check-lotan-s3": "3843430238b403684d966106",
+    "check-lotan-s4": "f1bdbaa6d42ca32a71524580",
+    "check-lotan-s5": "ef8564672bf56c60faabc8fc",
     "check-msqueue-s0": "d7784ba62e7c2d553d2efbb7",
     "check-msqueue-s1": "53e914df10e1c85f4aa94712",
     "check-msqueue-s2": "9c9cae745a0c673bba337c1b",
@@ -276,6 +296,13 @@ GOLDEN = {
     "check-pq-s3": "74306728b6d18cbf5e3c1186",
     "check-pq-s4": "4bfeb067e0f21c969fb7ac56",
     "check-pq-s5": "7cd60326d20d14a06c8cb1f2",
+    "check-skiplist-s0": "2fadf3ed6117ca452cee5527",
+    "check-skiplist-s1": "7e12497f2243047ba8f021e9",
+    "check-skiplist-s2": "d1a4316adc6a716fc73b03ac",
+    "check-skiplist-s3": "4950654bccbb1782908a1297",
+    "check-skiplist-s4": "79b62ba0a9a0a0ecaf861aca",
+    "check-skiplist-s5": "1bcb208d12eed9e869047565",
+    "check-skiplist-traffic-s1": "baf040674161e07a439ef2e9",
     "check-sync_zoo_broken-s0": "e7f2ee3291316f7cccf24a6a",
     "check-sync_zoo_broken-s1": "025d5d6da21e3b1c4759f631",
     "check-sync_zoo_broken-s2": "8ef8911c3dd85272246d0cbd",
