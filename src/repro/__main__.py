@@ -96,6 +96,7 @@ from .coherence.links import parse_network_spec
 from .config import MachineConfig
 from .faults import parse_fault_spec
 from .harness import EXPERIMENTS, run_experiment
+from .harness.experiments import fold_overrides
 from .harness.runner import PAPER_THREAD_COUNTS, series_table
 from .trace import (ContentionHeatmap, InvariantTracer, JsonlTracer,
                     reconcile)
@@ -378,20 +379,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             for n in threads:
                 jsonl.annotate(variant=name, threads=n)
                 before = dict(jsonl.counts)
-                merged = {**exp.common, **kw, "sinks": sinks}
-                if seed is not None or faults is not None \
-                        or network is not None:
-                    base = merged.get("config") or MachineConfig()
-                    if seed is not None:
-                        base = dataclasses.replace(base, seed=seed)
-                    if faults is not None:
-                        base = dataclasses.replace(base, fault_spec=faults)
-                    if network is not None:
-                        base = dataclasses.replace(
-                            base, network=dataclasses.replace(
-                                base.network, spec=network))
-                    merged["config"] = base
-                res = exp.bench(n, **merged)
+                res = exp.bench(n, **fold_overrides({
+                    **exp.common, **kw, "sinks": sinks, "seed": seed,
+                    "faults": faults, "network": network}))
                 delta = {k: v - before.get(k, 0)
                          for k, v in jsonl.counts.items()}
                 problems = reconcile(delta, res.counters)

@@ -38,35 +38,36 @@ def _register(exp: Experiment) -> None:
     EXPERIMENTS[exp.id] = exp
 
 
+def fold_overrides(kwargs: dict[str, Any]) -> dict[str, Any]:
+    """``kwargs`` with its ``seed``, ``faults`` and ``network`` entries
+    folded into the machine config every bench builds from (None leaves
+    that part alone).  The seed reaches ``Simulator(seed=...)`` without
+    each bench knowing about it; the fault and ``--network`` spec strings
+    ride inside the picklable config, so they reach every sweep cell
+    identically whether cells run serially or on ``--jobs`` workers."""
+    kwargs = dict(kwargs)
+    seed = kwargs.pop("seed", None)
+    faults = kwargs.pop("faults", None)
+    network = kwargs.pop("network", None)
+    if seed is None and faults is None and network is None:
+        return kwargs
+    cfg = kwargs.get("config") or MachineConfig()
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    if faults is not None:
+        cfg = replace(cfg, fault_spec=faults)
+    if network is not None:
+        cfg = replace(cfg, network=replace(cfg.network, spec=network))
+    kwargs["config"] = cfg
+    return kwargs
+
+
 def run_experiment(exp_id: str,
                    thread_counts: Sequence[int] = PAPER_THREAD_COUNTS,
                    *, jobs: int = 1, **overrides: Any):
     exp = EXPERIMENTS[exp_id]
-    common = {**exp.common, **overrides}
-    # A bare ``seed=N`` override reseeds the whole sweep: it folds into the
-    # machine config every bench builds from, so the CLI's global --seed
-    # reaches Simulator(seed=...) without each bench knowing about it.
-    seed = common.pop("seed", None)
-    if seed is not None:
-        base = common.get("config") or MachineConfig()
-        common["config"] = replace(base, seed=seed)
-    # A ``faults=SPEC`` override folds in the same way: the spec string
-    # rides inside the (picklable) config, so it reaches every sweep cell
-    # identically whether cells run serially or on --jobs workers.
-    faults = common.pop("faults", None)
-    if faults is not None:
-        base = common.get("config") or MachineConfig()
-        common["config"] = replace(base, fault_spec=faults)
-    # A ``network=SPEC`` override swaps in the contended interconnect
-    # (repro.coherence.links); the raw spec string rides inside the nested
-    # NetworkConfig so it, too, survives pickling to --jobs workers.
-    network = common.pop("network", None)
-    if network is not None:
-        base = common.get("config") or MachineConfig()
-        common["config"] = replace(
-            base, network=replace(base.network, spec=network))
     return sweep(exp.bench, exp.variants, thread_counts, jobs=jobs,
-                 **common)
+                 **fold_overrides({**exp.common, **overrides}))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,26 @@ def test_run_invariants_conflicts_with_jobs(capsys):
 
 # -- trace command ------------------------------------------------------------
 
+def test_trace_and_run_fold_the_same_overrides(tmp_path, capsys):
+    """--seed, --faults and --network reach ``trace`` the same way they
+    reach ``run``: every cell reports the same cycles and ops."""
+    import json
+    flags = ["--threads", "2,4", "--seed", "5",
+             "--faults", "net_jitter:p=0.05,max=40;dir_nack:p=0.02",
+             "--network", "link:bw=2,queue=8,flits=4;port:dir=2,mem=4"]
+    saved, traced = tmp_path / "run.json", tmp_path / "t.jsonl"
+    assert main(["run", "e1_backoff", *flags, "--save", str(saved)]) == 0
+    assert main(["trace", "e1_backoff", *flags, "--out", str(traced)]) == 0
+    ran = {(variant, r["num_threads"]): (r["cycles"], r["ops"])
+           for variant, series in json.loads(saved.read_text())[
+               "results"].items() for r in series}
+    lines = [json.loads(line) for line in traced.read_text().splitlines()]
+    summaries = {(s["variant"], s["threads"]): (s["cycles"], s["ops"])
+                 for s in lines if s.get("kind") == "run_summary"}
+    assert len(summaries) == 6
+    assert summaries == ran
+
+
 def test_trace_command_writes_reconciling_jsonl(tmp_path, capsys):
     import json
     out = tmp_path / "t.jsonl"
