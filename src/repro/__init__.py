@@ -19,8 +19,8 @@ Quickstart::
     from repro import Machine, MachineConfig
     from repro.structures import TreiberStack
 
-    m = Machine(MachineConfig(num_cores=8, seed=42))
-    stack = TreiberStack(m, use_lease=True)
+    m = Machine(MachineConfig(num_cores=8, seed=42).with_leases(True))
+    stack = TreiberStack(m)
     for i in range(8):
         m.add_thread(stack.update_worker, ops=200)
     m.run()

@@ -3,11 +3,12 @@
 Typical use::
 
     from repro import Machine, MachineConfig
+    from repro.structures import TreiberStack
 
-    m = Machine(MachineConfig(num_cores=16))
-    stack = TreiberStack(m, use_lease=True)
+    m = Machine(MachineConfig(num_cores=16).with_leases(True))
+    stack = TreiberStack(m)
     for _ in range(16):
-        m.add_thread(stack_worker, stack, ops=100)
+        m.add_thread(stack.update_worker, ops=100)
     m.run()
     print(m.result("stack").throughput_ops_per_sec)
 """

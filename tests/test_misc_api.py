@@ -98,6 +98,19 @@ class TestPackageExports:
         assert f'\nversion = "{repro.__version__}"\n' in pyproject.read_text()
 
 
+    @pytest.mark.parametrize("module,marker", [
+        ("repro", "Quickstart::"), ("repro.core.machine", "Typical use::")])
+    def test_docstring_quickstart_runs_as_written(self, module, marker,
+                                                  capsys):
+        import importlib
+        import textwrap
+
+        doc = importlib.import_module(module).__doc__
+        code = textwrap.dedent(doc.split(marker, 1)[1])
+        exec(compile(code, f"<{module} quickstart>", "exec"), {})
+        assert float(capsys.readouterr().out) > 0
+
+
 class TestRunAll:
     def test_run_all_subset(self, capsys):
         out = run_all(thread_counts=(2,), names=["fig2_stack"],
