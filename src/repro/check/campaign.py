@@ -165,13 +165,14 @@ def _build_zoo_broken(m: Machine, variant: str):
 # -- targets ------------------------------------------------------------------
 
 _BASE_LEASE = (("base", _cfg(leases=False)), ("lease", _cfg(leases=True)))
-#: The zoo targets cycle its policies as variants, so a budget of 4*N runs
-#: N perturbed schedules per policy.
+#: The zoo targets cycle their policies as variants, so a budget of 4*N
+#: runs N perturbed schedules per policy.
 _ZOO = tuple((arm, _cfg(leases=arm == "adaptive-lease")) for arm in ZOO_ARMS)
 _LEASED = {"lease_time": LEASE_TIME}
 _PAIRS = {"local_work": 4}
 _STACK = (10_000, 10_001, 10_002)
 _QUEUE = (20_000, 20_001, 20_002)
+#: Prefill and worker sizes shared by the PQ targets and by the sets.
 _PQ = {"prefill": (40_000, 40_002, 40_004, 40_006),
        "sizes": {"key_range": 64, "local_work": 4}}
 _SET = {"prefill": (1, 4, 7, 10), "sizes": {"key_range": 12, "update_pct": 60}}

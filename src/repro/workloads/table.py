@@ -184,6 +184,7 @@ class Built:
         return cls(self.prefill) if self.row.prefilled else cls()
 
     def final(self):
+        """The final state, in the model's ``snapshot()`` form."""
         return self.row.observe(self.structure)
 
     def stats(self) -> dict:
