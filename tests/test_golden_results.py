@@ -29,7 +29,7 @@ from repro.cluster import ClusterConfig, build_cluster
 from repro.config import MachineConfig
 from repro.core.isa import Lease, Release, Store, Work
 from repro.core.machine import Machine
-from repro.structures import LockFreeSkipList, TreiberStack
+from repro.structures import AtomicCounter, LockFreeSkipList, TreiberStack
 
 FAULTS = "net_jitter:p=0.05,max=40;dir_nack:p=0.02"
 #: A link/port spec that saturates under four Treiber workers.
@@ -72,7 +72,17 @@ def _skiplist(cfg: MachineConfig, ops: int = 20,
     return m
 
 
-WORKLOADS = {"treiber": _treiber, "storm": _storm, "skiplist": _skiplist}
+def _atomic(cfg: MachineConfig, ops: int = 10) -> Machine:
+    """Fetch-and-add increments: the one counter no experiment arm runs."""
+    m = Machine(cfg)
+    c = AtomicCounter(m)
+    for _ in range(cfg.num_cores):
+        m.add_thread(c.update_worker, ops)
+    return m
+
+
+WORKLOADS = {"treiber": _treiber, "storm": _storm, "skiplist": _skiplist,
+             "atomic": _atomic}
 STRATEGIES = {"random": RandomStrategy, "pct": PctStrategy}
 
 
@@ -148,6 +158,8 @@ def _cells() -> dict:
     for leases in (False, True):
         cells[f"skiplist-{'lease' if leases else 'base'}-c4"] = partial(
             _machine_cell, "skiplist", "msi", leases, "", 4)
+    cells["atomic-base-c4"] = partial(_machine_cell, "atomic", "msi", False,
+                                      "", 4)
     cells["treiber-network-sat-c4"] = partial(
         _machine_cell, "treiber", "msi", True, "", 4, SAT_SPEC)
     for kind in STRATEGIES:
@@ -162,6 +174,7 @@ def _cells() -> dict:
 CELLS = _cells()
 
 GOLDEN = {
+    "atomic-base-c4": "caa51ee61e3ce90c0cc5ffe2",
     "cluster_shards-n2-c2": "1a43546823280b7323b25234",
     "lease-expiry-c4": "0db17011ecd008d1f9b19b39",
     "skiplist-base-c4": "c82ceab96663627861c2f9a3",
