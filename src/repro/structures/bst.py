@@ -24,6 +24,7 @@ from ..core.isa import Lease, Load, Release, Store, TestAndSet, Work
 from ..core.machine import Machine
 from ..core.thread import Ctx
 from ..sync.locks import SPIN_PAUSE
+from .workers import set_worker
 
 KEY_OFF = 0
 LEFT_OFF = WORD_SIZE
@@ -204,18 +205,4 @@ class LockedExternalBST:
 
     # -- benchmark worker -------------------------------------------------
 
-    def mixed_worker(self, ctx: Ctx, ops: int, key_range: int,
-                     update_pct: int = 20) -> Generator:
-        for _ in range(ops):
-            key = ctx.rng.randrange(key_range)
-            roll = ctx.rng.randrange(100)
-            start = ctx.machine.now
-            if roll < update_pct // 2:
-                added = yield from self.insert(ctx, key)
-                ctx.note_op("insert", (key,), added, start)
-            elif roll < update_pct:
-                removed = yield from self.delete(ctx, key)
-                ctx.note_op("delete", (key,), removed, start)
-            else:
-                found = yield from self.contains(ctx, key)
-                ctx.note_op("contains", (key,), found, start)
+    mixed_worker = set_worker

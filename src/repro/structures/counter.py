@@ -23,6 +23,7 @@ from ..core.thread import Ctx
 from ..sync.locks import (CLHLock, HTicketLock, ReciprocatingLock,
                           SPIN_PAUSE, TTSLock, TicketLock,
                           lease_lock_acquire, lease_lock_release)
+from .workers import counter_worker
 
 _LOCKS = {"tts": TTSLock, "ticket": TicketLock, "clh": CLHLock,
           "hticket": HTicketLock, "reciprocating": ReciprocatingLock}
@@ -116,14 +117,7 @@ class LockedCounter:
 
     # -- worker -------------------------------------------------------------
 
-    def update_worker(self, ctx: Ctx, ops: int) -> Generator:
-        """Benchmark body: ``ops`` lock-protected increments.  The
-        pre-increment value each increment observed is reported, so the
-        history is checkable against a sequential counter."""
-        for _ in range(ops):
-            start = ctx.machine.now
-            before = yield from self.increment(ctx)
-            ctx.note_op("inc", (), before, start)
+    update_worker = counter_worker
 
 
 class CasCounter:
@@ -172,11 +166,7 @@ class CasCounter:
         """The counter value in the backing store (no traffic)."""
         return self.machine.peek(self.value_addr)
 
-    def update_worker(self, ctx: Ctx, ops: int) -> Generator:
-        for _ in range(ops):
-            start = ctx.machine.now
-            before = yield from self.increment(ctx)
-            ctx.note_op("inc", (), before, start)
+    update_worker = counter_worker
 
 
 class AtomicCounter:
@@ -189,8 +179,4 @@ class AtomicCounter:
     def increment(self, ctx: Ctx) -> Generator[Any, Any, int]:
         return (yield FetchAdd(self.value_addr, 1))
 
-    def update_worker(self, ctx: Ctx, ops: int) -> Generator:
-        for _ in range(ops):
-            start = ctx.machine.now
-            before = yield from self.increment(ctx)
-            ctx.note_op("inc", (), before, start)
+    update_worker = counter_worker

@@ -19,6 +19,7 @@ from ..config import WORD_SIZE
 from ..core.isa import CAS, Lease, Load, Release, Store
 from ..core.machine import Machine
 from ..core.thread import Ctx
+from .workers import set_worker
 
 KEY_OFF = 0
 NEXT_OFF = WORD_SIZE
@@ -177,22 +178,4 @@ class HarrisList:
 
     # -- benchmark worker -------------------------------------------------
 
-    def mixed_worker(self, ctx: Ctx, ops: int, key_range: int,
-                     update_pct: int = 20) -> Generator:
-        """The Section 7 low-contention mix: ``update_pct``/2 inserts,
-        ``update_pct``/2 deletes, rest searches, uniform random keys.
-        Every operation reports its boolean result so the run's history is
-        checkable against a sequential set model."""
-        for _ in range(ops):
-            key = ctx.rng.randrange(key_range)
-            roll = ctx.rng.randrange(100)
-            start = ctx.machine.now
-            if roll < update_pct // 2:
-                added = yield from self.insert(ctx, key)
-                ctx.note_op("insert", (key,), added, start)
-            elif roll < update_pct:
-                removed = yield from self.delete(ctx, key)
-                ctx.note_op("delete", (key,), removed, start)
-            else:
-                found = yield from self.contains(ctx, key)
-                ctx.note_op("contains", (key,), found, start)
+    mixed_worker = set_worker

@@ -18,6 +18,7 @@ from ..core.isa import Load, Store
 from ..core.machine import Machine
 from ..core.thread import Ctx
 from ..sync.locks import TTSLock, lease_lock_acquire, lease_lock_release
+from .workers import set_worker
 
 KEY_OFF = 0
 NEXT_OFF = WORD_SIZE
@@ -114,18 +115,4 @@ class LockedHashTable:
 
     # -- benchmark worker -------------------------------------------------
 
-    def mixed_worker(self, ctx: Ctx, ops: int, key_range: int,
-                     update_pct: int = 20) -> Generator:
-        for _ in range(ops):
-            key = ctx.rng.randrange(key_range)
-            roll = ctx.rng.randrange(100)
-            start = ctx.machine.now
-            if roll < update_pct // 2:
-                added = yield from self.insert(ctx, key)
-                ctx.note_op("insert", (key,), added, start)
-            elif roll < update_pct:
-                removed = yield from self.delete(ctx, key)
-                ctx.note_op("delete", (key,), removed, start)
-            else:
-                found = yield from self.contains(ctx, key)
-                ctx.note_op("contains", (key,), found, start)
+    mixed_worker = set_worker

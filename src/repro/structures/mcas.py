@@ -13,10 +13,11 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from ..config import WORD_SIZE
-from ..core.isa import Load, Store, Work
+from ..core.isa import Load, Store
 from ..core.machine import Machine
 from ..core.thread import Ctx
 from ..sync.mcas import Mcas, managed_word
+from .workers import counter_worker, pair_worker
 
 VALUE_OFF = 0
 NEXT_OFF = WORD_SIZE
@@ -59,11 +60,7 @@ class McasCounter:
     def peek_ops(self) -> int:
         return self.machine.peek(self.ops_addr)[0]
 
-    def update_worker(self, ctx: Ctx, ops: int) -> Generator:
-        for _ in range(ops):
-            start = ctx.machine.now
-            before = yield from self.increment(ctx)
-            ctx.note_op("inc", (), before, start)
+    update_worker = counter_worker
 
     def stats(self) -> dict[str, int]:
         return self.mc.stats()
@@ -72,6 +69,8 @@ class McasCounter:
 class McasStack:
     """Treiber-shaped LIFO whose push/pop MCAS the head pointer and a
     size word together (``len(stack) == count`` is the invariant)."""
+
+    PAIR = ("push", "pop")
 
     def __init__(self, machine: Machine, *, helping: str = "aware",
                  help_slice: int = 64) -> None:
@@ -133,20 +132,7 @@ class McasStack:
             node = self.machine.peek(node + NEXT_OFF)
         return out
 
-    def update_worker(self, ctx: Ctx, ops: int,
-                      local_work: int = 30) -> Generator:
-        """100%-update benchmark body mirroring TreiberStack's."""
-        for i in range(ops):
-            start = ctx.machine.now
-            if i % 2 == 0:
-                value = (ctx.tid << 32) | i
-                yield from self.push(ctx, value)
-                ctx.note_op("push", (value,), None, start)
-            else:
-                popped = yield from self.pop(ctx)
-                ctx.note_op("pop", (), popped, start)
-            if local_work:
-                yield Work(local_work)
+    update_worker = pair_worker
 
     def stats(self) -> dict[str, int]:
         return self.mc.stats()
@@ -158,6 +144,8 @@ class McasQueue:
     tail can never lag -- the helping policy replaces the MS "help swing"
     path entirely.  Node layout: ``[value, next]`` with ``next`` managed.
     """
+
+    PAIR = ("enqueue", "dequeue")
 
     def __init__(self, machine: Machine, *, helping: str = "aware",
                  help_slice: int = 64) -> None:
@@ -235,20 +223,7 @@ class McasQueue:
             node = m.peek(node + NEXT_OFF)[0]
         return out
 
-    def update_worker(self, ctx: Ctx, ops: int,
-                      local_work: int = 30) -> Generator:
-        """100%-update benchmark body mirroring MichaelScottQueue's."""
-        for i in range(ops):
-            start = ctx.machine.now
-            if i % 2 == 0:
-                value = (ctx.tid << 32) | i
-                yield from self.enqueue(ctx, value)
-                ctx.note_op("enqueue", (value,), None, start)
-            else:
-                taken = yield from self.dequeue(ctx)
-                ctx.note_op("dequeue", (), taken, start)
-            if local_work:
-                yield Work(local_work)
+    update_worker = pair_worker
 
     def stats(self) -> dict[str, int]:
         return self.mc.stats()

@@ -22,9 +22,10 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from ..config import WORD_SIZE
-from ..core.isa import CAS, Lease, Load, MultiLease, Release, ReleaseAll, Work
+from ..core.isa import CAS, Lease, Load, MultiLease, Release, ReleaseAll
 from ..core.machine import Machine
 from ..core.thread import Ctx
+from .workers import pair_worker
 
 VALUE_OFF = 0
 NEXT_OFF = WORD_SIZE
@@ -33,6 +34,8 @@ NIL = 0
 
 class MichaelScottQueue:
     """Non-blocking FIFO queue with head/tail sentinels and a dummy node."""
+
+    PAIR = ("enqueue", "dequeue")
 
     def __init__(self, machine: Machine, *, variant: str = "single",
                  lease_time: int = 1 << 62, backoff=None,
@@ -178,19 +181,4 @@ class MichaelScottQueue:
 
     # -- benchmark worker ---------------------------------------------------
 
-    def update_worker(self, ctx: Ctx, ops: int,
-                      local_work: int = 30) -> Generator:
-        """100%-update benchmark body: alternating enqueue/dequeue.  Each
-        operation is reported with its arguments and result so the run's
-        history is checkable (see :mod:`repro.check`)."""
-        for i in range(ops):
-            start = ctx.machine.now
-            if i % 2 == 0:
-                value = (ctx.tid << 32) | i
-                yield from self.enqueue(ctx, value)
-                ctx.note_op("enqueue", (value,), None, start)
-            else:
-                taken = yield from self.dequeue(ctx)
-                ctx.note_op("dequeue", (), taken, start)
-            if local_work:
-                yield Work(local_work)
+    update_worker = pair_worker

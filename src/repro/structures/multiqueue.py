@@ -23,6 +23,7 @@ from ..core.isa import (Lease, Load, MultiLease, Release, ReleaseAll, Store,
 from ..core.machine import Machine
 from ..core.thread import Ctx
 from ..sync.locks import SPIN_PAUSE, TTSLock
+from .workers import pq_worker
 
 NIL = 0
 
@@ -188,20 +189,7 @@ class MultiQueue:
 
     # -- benchmark worker -------------------------------------------------
 
-    def update_worker(self, ctx: Ctx, ops: int, key_range: int = 1 << 20,
-                      local_work: int = 20) -> Generator:
-        """Alternating insert / deleteMin (the Figure 4 workload).  Each
-        operation is reported with arguments and result; MultiQueues are
-        *relaxed*, so checkers validate element conservation rather than
-        strict priority order."""
-        for op in range(ops):
-            start = ctx.machine.now
-            if op % 2 == 0:
-                key = ctx.rng.randrange(key_range)
-                yield from self.insert(ctx, key)
-                ctx.note_op("insert", (key,), None, start)
-            else:
-                taken = yield from self.delete_min(ctx)
-                ctx.note_op("delete_min", (), taken, start)
-            if local_work:
-                yield Work(local_work)
+    #: Alternating insert/deleteMin (the Figure 4 workload).  MultiQueues
+    #: are *relaxed*, so checkers validate element conservation rather
+    #: than strict priority order.
+    update_worker = pq_worker

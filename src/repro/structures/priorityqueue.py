@@ -24,6 +24,7 @@ from ..core.machine import Machine
 from ..core.thread import Ctx
 from ..sync.locks import SPIN_PAUSE, TTSLock, lease_lock_acquire, \
     lease_lock_release
+from .workers import pq_worker
 
 NIL = 0
 MAX_HEIGHT = 5
@@ -159,22 +160,7 @@ class GlobalLockPQ:
     def keys_direct(self) -> list:
         return self.pq.keys_direct()
 
-    def update_worker(self, ctx: Ctx, ops: int, key_range: int = 1 << 20,
-                      local_work: int = 30) -> Generator:
-        """100%-update benchmark body: alternating insert/deleteMin.  Each
-        operation is reported with arguments and result for history
-        checking (see :mod:`repro.check`)."""
-        for i in range(ops):
-            start = ctx.machine.now
-            if i % 2 == 0:
-                key = ctx.rng.randrange(key_range)
-                yield from self.insert(ctx, key)
-                ctx.note_op("insert", (key,), None, start)
-            else:
-                taken = yield from self.delete_min(ctx)
-                ctx.note_op("delete_min", (), taken, start)
-            if local_work:
-                yield Work(local_work)
+    update_worker = pq_worker
 
 
 class PughLockPQ:
@@ -336,19 +322,7 @@ class PughLockPQ:
             node = m.peek(self._next(node, 0))
         return out
 
-    def update_worker(self, ctx: Ctx, ops: int, key_range: int = 1 << 20,
-                      local_work: int = 30) -> Generator:
-        for i in range(ops):
-            start = ctx.machine.now
-            if i % 2 == 0:
-                key = ctx.rng.randrange(key_range)
-                yield from self.insert(ctx, key)
-                ctx.note_op("insert", (key,), None, start)
-            else:
-                taken = yield from self.delete_min(ctx)
-                ctx.note_op("delete_min", (), taken, start)
-            if local_work:
-                yield Work(local_work)
+    update_worker = pq_worker
 
 
 class LotanShavitPQ(PughLockPQ):

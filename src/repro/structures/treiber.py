@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from ..config import WORD_SIZE
-from ..core.isa import CAS, Lease, Load, Release, Store, Work
+from ..core.isa import CAS, Lease, Load, Release, Store
 from ..core.machine import Machine
 from ..core.thread import Ctx
+from .workers import pair_worker
 
 VALUE_OFF = 0
 NEXT_OFF = WORD_SIZE
@@ -28,6 +29,8 @@ NIL = 0
 
 class TreiberStack:
     """Lock-free LIFO stack with a single head pointer."""
+
+    PAIR = ("push", "pop")
 
     def __init__(self, machine: Machine, *, backoff=None,
                  lease_time: int = 1 << 62, lease_policy=None) -> None:
@@ -109,19 +112,4 @@ class TreiberStack:
 
     # -- benchmark worker -------------------------------------------------
 
-    def update_worker(self, ctx: Ctx, ops: int,
-                      local_work: int = 30) -> Generator:
-        """100%-update benchmark body: alternating push/pop pairs.  Each
-        operation is reported with its arguments and result so the run's
-        history is checkable (see :mod:`repro.check`)."""
-        for i in range(ops):
-            start = ctx.machine.now
-            if i % 2 == 0:
-                value = (ctx.tid << 32) | i
-                yield from self.push(ctx, value)
-                ctx.note_op("push", (value,), None, start)
-            else:
-                popped = yield from self.pop(ctx)
-                ctx.note_op("pop", (), popped, start)
-            if local_work:
-                yield Work(local_work)
+    update_worker = pair_worker

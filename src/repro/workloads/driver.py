@@ -240,7 +240,7 @@ def bench_multiqueue(num_threads: int, *, ops_per_thread: int = 40,
     mq = MultiQueue(m, num_queues=num_queues)
     mq.prefill(range(0, 2 * prefill, 2))
     for _ in range(num_threads):
-        m.add_thread(mq.update_worker, ops_per_thread)
+        m.add_thread(mq.update_worker, ops_per_thread, local_work=20)
     return _finish(m, f"multiqueue/{'lease' if use_lease else 'base'}")
 
 

@@ -98,8 +98,8 @@ class Row:
     the sequential model in :mod:`repro.check.models` (looked up when
     needed, because :mod:`repro.check` imports this module);
     ``observe(s)`` reads the final state from the backing store in the
-    model's ``snapshot()`` form.  ``pair`` names the put and take ops the
-    zoo's locked arm wraps.
+    model's ``snapshot()`` form.  ``pair`` says the zoo's locked arm
+    applies: it wraps the structure's ``PAIR`` ops in a lock.
     """
 
     make: Callable[..., Any]
@@ -108,7 +108,7 @@ class Row:
     worker: str = "update_worker"
     open_worker: Callable[..., Any] | None = None
     open_sizes: tuple[str, ...] = ()
-    pair: tuple[str, str] = ()
+    pair: bool = False
     prefilled: bool = True
 
 
@@ -122,9 +122,9 @@ ROWS: dict[str, Row] = {
                  # drain_direct walks top->bottom; the model keeps
                  # bottom->top.
                  lambda s: tuple(reversed(s.drain_direct())),
-                 open_worker=traffic_stack_worker, pair=("push", "pop")),
+                 open_worker=traffic_stack_worker, pair=True),
     "queue": Row(_queue, "QueueModel", lambda q: tuple(q.drain_direct()),
-                 pair=("enqueue", "dequeue")),
+                 pair=True),
     "counter": Row(_counter, "CounterModel", lambda c: c.peek_value(),
                    open_worker=traffic_counter_worker, prefilled=False),
     "pq": Row(_pq, "PQModel", lambda pq: tuple(pq.keys_direct())),
@@ -141,11 +141,10 @@ def open_loop(family: str, variant: str) -> bool:
     return ROWS[family].open_worker is not None and variant not in ZOO_ARMS
 
 
-def locked_worker(ctx, lock, s, pair: tuple[str, str], ops: int,
-                  local_work: int = 30):
-    """Alternating put/take, each inside ``lock``'s critical section (the
-    zoo's coarse-lock arm on the stack and the queue)."""
-    put, take = pair
+def locked_worker(ctx, lock, s, ops: int, local_work: int = 30):
+    """Alternating put/take of ``s.PAIR``, each inside ``lock``'s critical
+    section (the zoo's coarse-lock arm on the stack and the queue)."""
+    put, take = s.PAIR
     for i in range(ops):
         start = ctx.machine.now
         token = yield from lock.acquire(ctx)
@@ -234,7 +233,7 @@ def populate(m: Machine, family: str, variant: str, *, threads: int,
             m.add_thread(row.open_worker, s, source.lane(t),
                          **{k: sizes[k] for k in row.open_sizes if k in sizes})
         elif lock is not None:
-            m.add_thread(locked_worker, lock, s, row.pair, ops, **sizes)
+            m.add_thread(locked_worker, lock, s, ops, **sizes)
         else:
             m.add_thread(getattr(s, row.worker), ops, **sizes)
     return Built(s, row, prefill, policy, source)
