@@ -1,7 +1,7 @@
 """Open-loop worker bodies: pull admitted ops from a lane, never self-pace.
 
-These mirror the closed-loop ``update_worker``/``mixed_worker`` bodies on
-the same structures, with the loop inverted: instead of issuing ``ops``
+These mirror the closed-loop bodies of :mod:`repro.structures.workers`
+on the same structures, with the loop inverted: instead of issuing ``ops``
 back-to-back operations, each body polls its :class:`~repro.traffic.
 source.Lane` and runs whatever the arrival process admitted.  While the
 queue is empty the worker idles (``Work`` for the lane's wait hint); when
@@ -20,6 +20,7 @@ from typing import Any, Generator
 
 from ..core.isa import Work
 from ..core.thread import Ctx
+from ..structures.workers import set_op
 
 __all__ = ["traffic_counter_worker", "traffic_stack_worker",
            "traffic_search_worker", "op_for_key"]
@@ -31,21 +32,18 @@ def op_for_key(key: int, tenant: int, update_pct: int) -> str:
     Open-loop ops can't roll the worker's RNG (admission order depends
     on the arrival merge, and the mix must be a property of the *offered
     load*, not of which core served it), so the roll is a hash of the
-    op's own identity.  Mix matches :func:`~repro.workloads.generators.
-    op_mix`: ceil(pct/2) inserts, floor(pct/2) deletes, rest searches.
+    op's own identity.  The split is the closed loop's
+    (:func:`~repro.structures.workers.set_op`): ceil(pct/2) inserts,
+    floor(pct/2) deletes, rest searches.
     """
-    roll = (key * 1103515245 + tenant * 12345 + 12821) % 100
-    if roll < (update_pct + 1) // 2:
-        return "insert"
-    if roll < update_pct:
-        return "delete"
-    return "contains"
+    return set_op((key * 1103515245 + tenant * 12345 + 12821) % 100,
+                  update_pct)
 
 
 def traffic_counter_worker(ctx: Ctx, counter, lane) -> Generator:
-    """Open-loop counterpart of ``LockedCounter.update_worker``: every
-    admitted op is one lock-protected increment (keys only steer the
-    arrival process here; a counter has a single word)."""
+    """Open-loop counterpart of :func:`~repro.structures.workers.
+    counter_worker`: every admitted op is one increment (keys only steer
+    the arrival process here; a counter has a single word)."""
     while True:
         item = lane.poll(ctx)
         if item is None:
@@ -61,9 +59,9 @@ def traffic_counter_worker(ctx: Ctx, counter, lane) -> Generator:
 
 
 def traffic_stack_worker(ctx: Ctx, stack, lane) -> Generator:
-    """Open-loop counterpart of ``TreiberStack.update_worker``: even keys
-    push (values unique per (tid, sequence) so histories stay checkable),
-    odd keys pop."""
+    """Open-loop counterpart of :func:`~repro.structures.workers.
+    pair_worker` on a stack: even keys push (values unique per (tid,
+    sequence) so histories stay checkable), odd keys pop."""
     seq = 0
     while True:
         item = lane.poll(ctx)
@@ -88,9 +86,10 @@ def traffic_stack_worker(ctx: Ctx, stack, lane) -> Generator:
 
 def traffic_search_worker(ctx: Ctx, structure, lane,
                           update_pct: int = 20) -> Generator:
-    """Open-loop counterpart of ``mixed_worker`` for the Section 7 search
-    structures: the admitted key is the operation's key, the op kind is
-    hashed from it (see :func:`op_for_key`)."""
+    """Open-loop counterpart of :func:`~repro.structures.workers.
+    set_worker` for the Section 7 search structures: the admitted key is
+    the operation's key, the op kind is hashed from it (see
+    :func:`op_for_key`)."""
     while True:
         item = lane.poll(ctx)
         if item is None:

@@ -13,6 +13,8 @@ import itertools
 import random
 from typing import Iterator
 
+from ..structures.workers import set_op
+
 
 class UniformKeys:
     """Uniform keys over ``range(key_range)``."""
@@ -93,14 +95,10 @@ def op_mix(rng: random.Random, update_pct: int) -> str:
     An odd ``update_pct`` cannot split evenly; the extra percentage
     point goes to inserts (``ceil(pct/2)`` inserts, ``floor(pct/2)``
     deletes), so ``update_pct=5`` means exactly 3% inserts / 2% deletes
-    -- deterministic, not rounded differently per call site.
+    -- the split of :func:`~repro.structures.workers.set_op`, which the
+    closed- and open-loop set workers use too.
     """
-    roll = rng.randrange(100)
-    if roll < (update_pct + 1) // 2:
-        return "insert"
-    if roll < update_pct:
-        return "delete"
-    return "contains"
+    return set_op(rng.randrange(100), update_pct)
 
 
 def key_stream(dist, rng: random.Random) -> Iterator[int]:
