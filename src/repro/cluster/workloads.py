@@ -238,7 +238,9 @@ def bench_cluster(num_threads: int, *, structure: str = "counter",
                   sinks: Sequence[Tracer] | None = None,
                   schedule: Any = None) -> RunResult:
     """Drive a sharded cluster workload; ``num_threads`` is threads *per
-    node*.  ``sinks`` attach to the cluster bus (lease/message events).
+    node*.  ``sinks`` attach to the cluster bus (lease/message events)
+    and to every node's bus, so they see every event the merged
+    ``RunResult.counters`` count.
     The machine config template carries seed/faults exactly as in
     the single-machine benches.  A non-empty ``traffic`` arrival spec
     switches workers to open-loop (admitted keys pick the shard; latency
@@ -256,6 +258,8 @@ def bench_cluster(num_threads: int, *, structure: str = "counter",
         traffic=traffic, schedule=schedule)
     for sink in sinks or ():
         cluster.attach_tracer(sink)
+        for node in cluster.nodes:
+            node.attach_tracer(sink)
     from ..state import hooks
     (hooks.run_hook or Cluster.run)(cluster)    # the repro.state.hooks seam
     verify_cluster_counters(cluster, info)
