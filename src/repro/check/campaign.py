@@ -563,22 +563,31 @@ def run_campaign(target_name: str, *, budget: int = 100, seed: int = 1,
 def load_repro(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("format") != REPRO_FORMAT:
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != REPRO_FORMAT:
         raise ReproError(
-            f"{path}: not a {REPRO_FORMAT} repro file "
-            f"(format={data.get('format')!r})")
+            f"{path}: not a {REPRO_FORMAT} repro file (format={fmt!r})")
     return data
+
+
+def malformed_repro(fmt: str, err: Exception) -> ReproError:
+    """The error for a repro document of format ``fmt`` that lacks a
+    field or holds one of the wrong type."""
+    return ReproError(f"malformed {fmt} repro ({type(err).__name__}: {err})")
 
 
 def replay_repro(repro: dict) -> RunOutcome:
     """Re-execute a repro dict (as written by :func:`run_campaign`)
     deterministically and return the outcome of the checks."""
-    target = resolve_target(repro["target"])
-    cfg = replace(target.config_for(repro["variant"]),
-                  seed=int(repro["machine_seed"]),
-                  fault_spec=repro.get("fault_spec", ""))
-    decisions = {int(k): int(v)
-                 for k, v in repro.get("decisions", {}).items()}
-    return run_once(target, repro["variant"], cfg,
-                    ReplayStrategy(decisions),
+    try:
+        target = resolve_target(repro["target"])
+        variant = repro["variant"]
+        cfg = replace(target.config_for(variant),
+                      seed=int(repro["machine_seed"]),
+                      fault_spec=repro.get("fault_spec", ""))
+        decisions = {int(k): int(v)
+                     for k, v in repro.get("decisions", {}).items()}
+    except (KeyError, TypeError, ValueError) as err:
+        raise malformed_repro(REPRO_FORMAT, err) from None
+    return run_once(target, variant, cfg, ReplayStrategy(decisions),
                     traffic=repro.get("traffic", ""))

@@ -29,7 +29,7 @@ from ..config import LeaseConfig, MachineConfig
 from ..errors import (LeaseError, ProtocolError, ReproError, SimulationError,
                       SimulationTimeout)
 from .campaign import (CampaignReport, RunOutcome, _ddmin, _machine_seed,
-                       _strategy_for)
+                       _strategy_for, malformed_repro)
 from .perturb import ReplayStrategy
 from .properties import ClusterLeaseSafetyTracer, PropertyViolation
 
@@ -212,12 +212,15 @@ def replay_cluster_repro(repro: dict) -> RunOutcome:
             f"not a {CLUSTER_REPRO_FORMAT} repro "
             f"(format={repro.get('format')!r})")
     quorum = repro.get("quorum")
-    ccfg = cluster_config_for(
-        nodes=int(repro["nodes"]),
-        cluster_spec=repro.get("cluster_spec", ""),
-        seed=int(repro["machine_seed"]),
-        quorum=int(quorum) if quorum is not None else None)
-    decisions = {int(k): int(v)
-                 for k, v in repro.get("decisions", {}).items()}
+    try:
+        ccfg = cluster_config_for(
+            nodes=int(repro["nodes"]),
+            cluster_spec=repro.get("cluster_spec", ""),
+            seed=int(repro["machine_seed"]),
+            quorum=int(quorum) if quorum is not None else None)
+        decisions = {int(k): int(v)
+                     for k, v in repro.get("decisions", {}).items()}
+    except (KeyError, TypeError, ValueError) as err:
+        raise malformed_repro(CLUSTER_REPRO_FORMAT, err) from None
     return run_cluster_once(ccfg, ReplayStrategy(decisions),
                             structure=repro.get("structure", "counter"))

@@ -25,11 +25,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..config import MachineConfig, NetworkConfig
-from ..errors import ReproError
 from ..harness import EXPERIMENTS
 from ..harness.runner import sweep
 from ..state import CheckpointPolicy, hooks
-from .campaign import RunOutcome
+from .campaign import RunOutcome, malformed_repro
 from .cluster import CLUSTER_SPEC_GRID
 from .perturb import PctStrategy, RandomStrategy
 
@@ -292,8 +291,7 @@ def replay_identity(doc: dict) -> RunOutcome:
                 EXPERIMENTS[cell["experiment"]].variants:
             raise KeyError(missing or cell["arm"])
     except (KeyError, TypeError) as err:
-        raise ReproError(f"malformed {IDENTITY_FORMAT} repro "
-                         f"({type(err).__name__}: {err})") from None
+        raise malformed_repro(IDENTITY_FORMAT, err) from None
     leg, reference, got = AXES[axis](
         cell, None if axis == "jobs" else _run(cell), **p)
     return RunOutcome(ok=got == reference, kind=axis, ops=0, decided=True,
