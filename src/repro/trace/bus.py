@@ -24,10 +24,14 @@ observable action is pure overhead when nothing attached wants the
 object -- and the default configuration (a lone ``CountersTracer``) only
 ever folds events into flat integer counters.  The bus therefore exposes
 one *pre-bound emit slot per event type*, named after the type's ``kind``
-string::
+string and taking its payload fields in slot order, as the type's
+generated constructor does::
 
     trace.l1_hit(core, line)          # instead of emit(L1Hit(core, line))
     trace.message(src, dst, msg, hops, data)
+
+The types are :data:`~repro.trace.events.EVENT_TYPES`, which every event
+class joins, in definition order, when it is defined.
 
 Each slot is rebuilt whenever the sink set changes, to the cheapest
 implementation the attached sinks allow:
@@ -54,18 +58,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping
 
-from . import events as _events
-from .events import TraceEvent
+from .events import EVENT_TYPES, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.machine import Machine
-
-#: Every concrete event type in the taxonomy, discovered from the events
-#: module; the bus pre-binds one emit slot per entry, named by its ``kind``.
-EVENT_TYPES: tuple[type, ...] = tuple(
-    cls for cls in vars(_events).values()
-    if isinstance(cls, type) and issubclass(cls, TraceEvent)
-    and cls is not TraceEvent)
 
 
 class Tracer:

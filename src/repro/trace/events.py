@@ -7,12 +7,14 @@ below.  Hot-path code constructs an event and hands it to the machine's
 :class:`~repro.trace.bus.TraceBus`; sinks (counters, JSONL writers,
 heatmaps, invariant checkers) consume the stream.
 
+An event is its ``kind``, its payload ``__slots__`` and its docstring.
+:class:`TraceEvent` generates each class's constructor from its slots, in
+order, and the counters sink compiles its handlers with the same
+parameters (:func:`param_list`), so a class declares its fields once.
 Events are plain ``__slots__`` objects: cheap to construct, and
-``to_dict()`` flattens them for JSONL serialization.  Each class lists its
-payload slots in constructor order: the counters sink passes an event's
-slot values to a handler with the constructor's signature.  The ``t``
-field (the simulation cycle) is stamped by the bus at emit time, so call
-sites never pass timestamps.
+``to_dict()`` flattens them for JSONL serialization.  The ``t`` field (the
+simulation cycle) is stamped by the bus at emit time, so call sites never
+pass timestamps.
 
 Taxonomy overview (``kind`` strings):
 
@@ -45,29 +47,52 @@ What each kind does to the flat counters is one row of
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping
+
+#: Every concrete event type, in definition order; the bus pre-binds one
+#: emit slot per entry, named by its ``kind``.
+EVENT_TYPES: list[type["TraceEvent"]] = []
+
+
+def param_list(cls: type["TraceEvent"], defaults: str) -> str:
+    """``cls``'s constructor parameters as source: its slots in order, a
+    field of ``cls.DEFAULTS`` defaulting to ``<defaults>[<field>]``."""
+    return ", ".join(f"{f}={defaults}[{f!r}]" if f in cls.DEFAULTS else f
+                     for f in cls.__slots__)
 
 
 class TraceEvent:
     """Base class of all trace events.
 
-    ``t`` is the simulation cycle at emit time (stamped by the bus).
-    Subclasses declare their payload in ``__slots__``; ``to_dict`` walks
-    the MRO so inherited fields serialize too.
+    ``t`` is the simulation cycle at emit time (stamped by the bus).  A
+    subclass declares its ``kind`` and its payload in ``__slots__``; its
+    constructor takes the payload fields in slot order.  Trailing fields a
+    caller may omit take their defaults from ``DEFAULTS``, a mapping
+    because a slot and a class attribute cannot share a name.
     """
 
     __slots__ = ("t",)
     kind: str = "event"
+    DEFAULTS: Mapping[str, Any] = {}
 
-    def __init__(self) -> None:
-        self.t = 0
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Generate ``cls``'s constructor, which zeroes ``t`` and assigns
+        each payload field in slot order, and register ``cls``."""
+        super().__init_subclass__(**kwargs)
+        body = "".join(f"\n    self.{f} = {f}" for f in cls.__slots__)
+        ns: dict[str, Any] = {"_defaults": cls.DEFAULTS}
+        exec(f"def __init__(self, {param_list(cls, '_defaults')}):\n"
+             f"    self.t = 0{body}", ns)
+        init = ns["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        setattr(cls, "__init__", init)
+        EVENT_TYPES.append(cls)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"kind": self.kind, "t": self.t}
-        for cls in type(self).__mro__:
-            for name in getattr(cls, "__slots__", ()):
-                if name != "t":
-                    out[name] = getattr(self, name)
+        for name in self.__slots__:
+            out[name] = getattr(self, name)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -86,14 +111,6 @@ class ReqIssued(TraceEvent):
     __slots__ = ("core", "line", "req", "is_lease")
     kind = "req_issued"
 
-    def __init__(self, core: int, line: int, req: str,
-                 is_lease: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.req = req
-        self.is_lease = is_lease
-
 
 class ReqQueued(TraceEvent):
     """A request arrived at a busy directory entry and joined the line's
@@ -102,26 +119,12 @@ class ReqQueued(TraceEvent):
     __slots__ = ("core", "line", "depth")
     kind = "req_queued"
 
-    def __init__(self, core: int, line: int, depth: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.depth = depth
-
 
 class ReqGranted(TraceEvent):
     """The directory granted ``line`` to ``core`` in ``state``."""
 
     __slots__ = ("core", "line", "state", "fetch")
     kind = "req_granted"
-
-    def __init__(self, core: int, line: int, state: str,
-                 fetch: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.state = state
-        self.fetch = fetch
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +137,6 @@ class ProbeSent(TraceEvent):
     __slots__ = ("target", "line", "probe")
     kind = "probe_sent"
 
-    def __init__(self, target: int, line: int, probe: str) -> None:
-        super().__init__()
-        self.target = target
-        self.line = line
-        self.probe = probe
-
 
 class ProbeDeferred(TraceEvent):
     """A probe reached a core between grant and access commit and was
@@ -147,11 +144,6 @@ class ProbeDeferred(TraceEvent):
 
     __slots__ = ("core", "line")
     kind = "probe_deferred"
-
-    def __init__(self, core: int, line: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
 
 
 class ProbeServiced(TraceEvent):
@@ -162,15 +154,6 @@ class ProbeServiced(TraceEvent):
     __slots__ = ("core", "line", "probe", "stale", "data")
     kind = "probe_serviced"
 
-    def __init__(self, core: int, line: int, probe: str, stale: bool,
-                 data: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.probe = probe
-        self.stale = stale
-        self.data = data
-
 
 class LeaseProbeQueued(TraceEvent):
     """A probe hit a leased line and was queued at the core (Algorithm 1's
@@ -178,11 +161,6 @@ class LeaseProbeQueued(TraceEvent):
 
     __slots__ = ("core", "line")
     kind = "lease_probe_queued"
-
-    def __init__(self, core: int, line: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +173,12 @@ class LeaseRequested(TraceEvent):
     __slots__ = ("core", "line", "site")
     kind = "lease_requested"
 
-    def __init__(self, core: int, line: int, site: str | None) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.site = site
-
 
 class LeaseNoop(TraceEvent):
     """Lease on an already-leased line: no-op (no extension, footnote 1)."""
 
     __slots__ = ("core", "line")
     kind = "lease_noop"
-
-    def __init__(self, core: int, line: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
 
 
 class LeaseIgnored(TraceEvent):
@@ -220,24 +187,12 @@ class LeaseIgnored(TraceEvent):
     __slots__ = ("core", "line", "site")
     kind = "lease_ignored"
 
-    def __init__(self, core: int, line: int, site: str | None) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.site = site
-
 
 class LeaseStarted(TraceEvent):
     """Ownership is held and the lease countdown started (lease acquired)."""
 
     __slots__ = ("core", "line", "duration")
     kind = "lease_started"
-
-    def __init__(self, core: int, line: int, duration: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.duration = duration
 
 
 class LeaseReleased(TraceEvent):
@@ -250,12 +205,6 @@ class LeaseReleased(TraceEvent):
 
     MODES = ("voluntary", "expired", "broken", "fifo")
 
-    def __init__(self, core: int, line: int, mode: str) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.mode = mode
-
 
 class MultiLeaseIssued(TraceEvent):
     """A MultiLease instruction was executed over ``n`` lines; ``ignored``
@@ -263,12 +212,6 @@ class MultiLeaseIssued(TraceEvent):
 
     __slots__ = ("core", "n", "ignored")
     kind = "multilease"
-
-    def __init__(self, core: int, n: int, ignored: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.n = n
-        self.ignored = ignored
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +224,6 @@ class EvictionIssued(TraceEvent):
     __slots__ = ("core", "line", "notice")
     kind = "eviction_issued"
 
-    def __init__(self, core: int, line: int, notice: str) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.notice = notice
-
 
 class EvictionApplied(TraceEvent):
     """The directory processed an eviction notice.  ``applied`` is False
@@ -294,12 +231,6 @@ class EvictionApplied(TraceEvent):
 
     __slots__ = ("core", "line", "applied")
     kind = "eviction_applied"
-
-    def __init__(self, core: int, line: int, applied: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.applied = applied
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +241,10 @@ class L1Hit(TraceEvent):
     __slots__ = ("core", "line")
     kind = "l1_hit"
 
-    def __init__(self, core: int, line: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-
 
 class L1Miss(TraceEvent):
     __slots__ = ("core", "line")
     kind = "l1_miss"
-
-    def __init__(self, core: int, line: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
 
 
 class L1Evicted(TraceEvent):
@@ -334,23 +255,12 @@ class L1Evicted(TraceEvent):
     __slots__ = ("core", "line", "overflow")
     kind = "l1_evicted"
 
-    def __init__(self, core: int, line: int, overflow: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.overflow = overflow
-
 
 class MesiUpgrade(TraceEvent):
     """Silent E->M upgrade on first write (MESI only)."""
 
     __slots__ = ("core", "line")
     kind = "mesi_upgrade"
-
-    def __init__(self, core: int, line: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
 
 
 class L2Access(TraceEvent):
@@ -359,21 +269,12 @@ class L2Access(TraceEvent):
     __slots__ = ("line", "dram")
     kind = "l2_access"
 
-    def __init__(self, line: int, dram: bool) -> None:
-        super().__init__()
-        self.line = line
-        self.dram = dram
-
 
 class Writeback(TraceEvent):
     """A dirty line was written back into its L2 slice."""
 
     __slots__ = ("line",)
     kind = "writeback"
-
-    def __init__(self, line: int) -> None:
-        super().__init__()
-        self.line = line
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +286,6 @@ class MessageSent(TraceEvent):
 
     __slots__ = ("src", "dst", "msg", "hops", "data")
     kind = "message"
-
-    def __init__(self, src: int, dst: int, msg: str, hops: int,
-                 data: bool) -> None:
-        super().__init__()
-        self.src = src
-        self.dst = dst
-        self.msg = msg
-        self.hops = hops
-        self.data = data
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +300,6 @@ class LinkQueued(TraceEvent):
     __slots__ = ("link", "flow", "depth")
     kind = "link_queued"
 
-    def __init__(self, link: int, flow: int, depth: int) -> None:
-        super().__init__()
-        self.link = link
-        self.flow = flow
-        self.depth = depth
-
 
 class LinkGranted(TraceEvent):
     """The arbiter granted link ``link`` to a message of flow ``flow``:
@@ -423,14 +309,6 @@ class LinkGranted(TraceEvent):
     __slots__ = ("link", "flow", "flits", "waited")
     kind = "link_granted"
 
-    def __init__(self, link: int, flow: int, flits: int,
-                 waited: int) -> None:
-        super().__init__()
-        self.link = link
-        self.flow = flow
-        self.flits = flits
-        self.waited = waited
-
 
 class PortBusy(TraceEvent):
     """A message (or serialized L2 fetch) found intake/memory port
@@ -438,11 +316,6 @@ class PortBusy(TraceEvent):
 
     __slots__ = ("port", "depth")
     kind = "port_busy"
-
-    def __init__(self, port: int, depth: int) -> None:
-        super().__init__()
-        self.port = port
-        self.depth = depth
 
 
 # ---------------------------------------------------------------------------
@@ -455,29 +328,15 @@ class CasOutcome(TraceEvent):
     __slots__ = ("core", "addr", "ok")
     kind = "cas"
 
-    def __init__(self, core: int, addr: int, ok: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.addr = addr
-        self.ok = ok
-
 
 class LockAttempt(TraceEvent):
     __slots__ = ("core",)
     kind = "lock_attempt"
 
-    def __init__(self, core: int) -> None:
-        super().__init__()
-        self.core = core
-
 
 class LockFailed(TraceEvent):
     __slots__ = ("core",)
     kind = "lock_failed"
-
-    def __init__(self, core: int) -> None:
-        super().__init__()
-        self.core = core
 
 
 class StmOutcome(TraceEvent):
@@ -485,11 +344,6 @@ class StmOutcome(TraceEvent):
 
     __slots__ = ("core", "committed")
     kind = "stm"
-
-    def __init__(self, core: int, committed: bool) -> None:
-        super().__init__()
-        self.core = core
-        self.committed = committed
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +360,6 @@ class FaultInjected(TraceEvent):
     __slots__ = ("site", "core", "magnitude")
     kind = "fault_injected"
 
-    def __init__(self, site: str, core: int, magnitude: int) -> None:
-        super().__init__()
-        self.site = site
-        self.core = core
-        self.magnitude = magnitude
-
 
 class DirNack(TraceEvent):
     """The directory NACKed ``core``'s request for ``line`` on its
@@ -520,12 +368,6 @@ class DirNack(TraceEvent):
     __slots__ = ("core", "line", "attempt")
     kind = "dir_nack"
 
-    def __init__(self, core: int, line: int, attempt: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.attempt = attempt
-
 
 class RetryScheduled(TraceEvent):
     """A NACKed request was scheduled for re-issue after ``delay`` cycles
@@ -533,14 +375,6 @@ class RetryScheduled(TraceEvent):
 
     __slots__ = ("core", "line", "attempt", "delay")
     kind = "retry_scheduled"
-
-    def __init__(self, core: int, line: int, attempt: int,
-                 delay: int) -> None:
-        super().__init__()
-        self.core = core
-        self.line = line
-        self.attempt = attempt
-        self.delay = delay
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +389,6 @@ class CheckpointSaved(TraceEvent):
     __slots__ = ("cycle", "log_entries")
     kind = "checkpoint_saved"
 
-    def __init__(self, cycle: int, log_entries: int) -> None:
-        super().__init__()
-        self.cycle = cycle
-        self.log_entries = log_entries
-
 
 class CheckpointRestored(TraceEvent):
     """A snapshot taken at ``cycle`` was restored into this machine,
@@ -567,11 +396,6 @@ class CheckpointRestored(TraceEvent):
 
     __slots__ = ("cycle", "threads")
     kind = "checkpoint_restored"
-
-    def __init__(self, cycle: int, threads: int) -> None:
-        super().__init__()
-        self.cycle = cycle
-        self.threads = threads
 
 
 class OpCompleted(TraceEvent):
@@ -587,17 +411,8 @@ class OpCompleted(TraceEvent):
 
     __slots__ = ("core", "tid", "op", "args", "result", "start")
     kind = "op_completed"
-
-    def __init__(self, core: int, tid: int | None = None,
-                 op: str | None = None, args: tuple = (),
-                 result: Any = None, start: int | None = None) -> None:
-        super().__init__()
-        self.core = core
-        self.tid = tid
-        self.op = op
-        self.args = args
-        self.result = result
-        self.start = start
+    DEFAULTS = {"tid": None, "op": None, "args": (), "result": None,
+                "start": None}
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +427,6 @@ class NodeMsgSent(TraceEvent):
     __slots__ = ("src", "dst", "msg", "latency")
     kind = "node_msg"
 
-    def __init__(self, src: int, dst: int, msg: str, latency: int) -> None:
-        super().__init__()
-        self.src = src
-        self.dst = dst
-        self.msg = msg
-        self.latency = latency
-
 
 class NodeMsgDropped(TraceEvent):
     """An inter-node message was lost.  ``reason`` is ``"loss"`` for the
@@ -628,13 +436,6 @@ class NodeMsgDropped(TraceEvent):
     __slots__ = ("src", "dst", "msg", "reason")
     kind = "node_msg_dropped"
 
-    def __init__(self, src: int, dst: int, msg: str, reason: str) -> None:
-        super().__init__()
-        self.src = src
-        self.dst = dst
-        self.msg = msg
-        self.reason = reason
-
 
 class NodeMsgDuplicated(TraceEvent):
     """The cluster network delivered a second copy of an inter-node
@@ -643,12 +444,6 @@ class NodeMsgDuplicated(TraceEvent):
     __slots__ = ("src", "dst", "msg")
     kind = "node_msg_dup"
 
-    def __init__(self, src: int, dst: int, msg: str) -> None:
-        super().__init__()
-        self.src = src
-        self.dst = dst
-        self.msg = msg
-
 
 class PaxosRoundStarted(TraceEvent):
     """Node ``node`` opened a PaxosLease round for ``obj`` with ballot
@@ -656,14 +451,6 @@ class PaxosRoundStarted(TraceEvent):
 
     __slots__ = ("node", "obj", "ballot", "extend")
     kind = "paxos_round"
-
-    def __init__(self, node: int, obj: int, ballot: int,
-                 extend: bool = False) -> None:
-        super().__init__()
-        self.node = node
-        self.obj = obj
-        self.ballot = ballot
-        self.extend = extend
 
 
 class ClusterLeaseAcquired(TraceEvent):
@@ -674,14 +461,6 @@ class ClusterLeaseAcquired(TraceEvent):
     __slots__ = ("node", "obj", "ballot", "expires_at")
     kind = "cluster_lease_acquired"
 
-    def __init__(self, node: int, obj: int, ballot: int,
-                 expires_at: int) -> None:
-        super().__init__()
-        self.node = node
-        self.obj = obj
-        self.ballot = ballot
-        self.expires_at = expires_at
-
 
 class ClusterLeaseExpired(TraceEvent):
     """Node ``node``'s cluster lease on ``obj`` ran out before a renewal
@@ -689,12 +468,6 @@ class ClusterLeaseExpired(TraceEvent):
 
     __slots__ = ("node", "obj", "ballot")
     kind = "cluster_lease_expired"
-
-    def __init__(self, node: int, obj: int, ballot: int) -> None:
-        super().__init__()
-        self.node = node
-        self.obj = obj
-        self.ballot = ballot
 
 
 class ClusterLeaseReleased(TraceEvent):
@@ -704,12 +477,6 @@ class ClusterLeaseReleased(TraceEvent):
     __slots__ = ("node", "obj", "ballot")
     kind = "cluster_lease_released"
 
-    def __init__(self, node: int, obj: int, ballot: int) -> None:
-        super().__init__()
-        self.node = node
-        self.obj = obj
-        self.ballot = ballot
-
 
 class ClusterGuardDenied(TraceEvent):
     """A worker on node ``node`` asked for an intra-node lease on a line
@@ -718,11 +485,6 @@ class ClusterGuardDenied(TraceEvent):
 
     __slots__ = ("node", "obj")
     kind = "cluster_guard_denied"
-
-    def __init__(self, node: int, obj: int) -> None:
-        super().__init__()
-        self.node = node
-        self.obj = obj
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +499,6 @@ class OpAdmitted(TraceEvent):
     __slots__ = ("core", "tenant", "depth")
     kind = "op_admitted"
 
-    def __init__(self, core: int, tenant: int = 0, depth: int = 0) -> None:
-        super().__init__()
-        self.core = core
-        self.tenant = tenant
-        self.depth = depth
-
 
 class OpShed(TraceEvent):
     """One open-loop arrival found core ``core``'s admission queue full
@@ -750,8 +506,3 @@ class OpShed(TraceEvent):
 
     __slots__ = ("core", "tenant")
     kind = "op_shed"
-
-    def __init__(self, core: int, tenant: int = 0) -> None:
-        super().__init__()
-        self.core = core
-        self.tenant = tenant

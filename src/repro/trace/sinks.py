@@ -7,25 +7,24 @@ written down exactly once, as a row of :data:`COUNTER_RULES`, and the
 rest is derived from that table:
 
 * **the payload handlers** -- at import, every row is compiled into one
-  function whose signature is its event constructor's (the way
-  ``dataclasses`` builds ``__init__``).  The bus calls these straight from
-  its emit slots (``trace.message(src, dst, msg, hops, data)``), so the
-  counters-only default configuration never builds an event object;
+  function that takes the event's payload fields in slot order, the
+  parameters of the event's generated constructor
+  (:func:`~repro.trace.events.param_list`).  The bus calls these straight
+  from its emit slots (``trace.message(src, dst, msg, hops, data)``), so
+  the counters-only default configuration never builds an event object;
 * **the object path** -- :meth:`CountersTracer.on_event` passes an
-  event's slots, which every event class keeps in constructor order, to
-  the same function;
+  event's slot values to the same function;
 * :func:`reconcile` -- the cross-check of a captured trace's per-kind
   event counts against the run's counter totals, read off the table.
 
-Adding a counted event kind is therefore one row plus one ``Counters``
-field.  Capture sinks (``JsonlTracer``, ``RingBufferTracer``) consume
+Adding a counted event kind is therefore one event class, one row and one
+``Counters`` field.  Capture sinks (``JsonlTracer``, ``RingBufferTracer``) consume
 every type as objects; ``ContentionHeatmap`` declares interest in just the
 four kinds it reads.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 from collections import deque
 from typing import (IO, TYPE_CHECKING, Any, Callable, Collection, Mapping,
@@ -186,18 +185,9 @@ def _compile(rules: Mapping[type, tuple[Term, ...]]
     ns: dict[str, Any] = {"__name__": __name__}
     src = ["def bind(k):"]
     for cls, terms in rules.items():
-        params = inspect.signature(cls).parameters.values()
-        if tuple(p.name for p in params) != cls.__slots__:
-            raise TypeError(f"{cls.__name__}: constructor parameters must "
-                            "match __slots__ in order")
-        sig = []
-        for p in params:
-            if p.default is p.empty:
-                sig.append(p.name)
-            else:
-                ns[f"_{cls.kind}_{p.name}"] = p.default
-                sig.append(f"{p.name}=_{cls.kind}_{p.name}")
-        src.append(f"    def {cls.kind}({', '.join(sig)}):")
+        ns[f"_{cls.kind}"] = cls.DEFAULTS
+        params = ev.param_list(cls, f"_{cls.kind}")
+        src.append(f"    def {cls.kind}({params}):")
         src.extend(f"        {line}" for t in terms for line in _term_lines(t))
     src.append(f"    return ({', '.join(cls.kind for cls in rules)},)")
     exec(compile("\n".join(src), "<COUNTER_RULES>", "exec"), ns)
