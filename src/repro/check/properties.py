@@ -5,9 +5,9 @@ makes promises the checker should hold it to:
 
 * **Proposition 1 (bounded deferral).**  A probe queued behind a lease is
   serviced within ``MAX_LEASE_TIME`` cycles of being queued -- the paper's
-  starvation-freedom bound.  (The per-line "at most one queued probe"
-  half of Proposition 1 is already enforced by
-  :class:`~repro.trace.invariants.InvariantTracer`.)
+  starvation-freedom bound.  (The per-line half of Proposition 1 --
+  the probes queued at cores on a line belong to one request -- is
+  already enforced by :class:`~repro.trace.invariants.InvariantTracer`.)
 * **MultiLease address order.**  A hardware multilease acquires its lines
   in sorted address order (Section 4's deadlock-avoidance rule); the
   ``LeaseStarted`` events a core emits for one multilease group must be

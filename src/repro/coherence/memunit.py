@@ -228,10 +228,8 @@ class MemUnit:
         return self._outstanding is not None
 
     @property
-    def deferred_probe_line(self) -> int | None:
-        """Line of the probe deferred behind the outstanding access, if any
-        (used by the continuous invariant checker for Proposition 1)."""
+    def deferred_probe(self) -> Probe | None:
+        """The probe deferred behind the outstanding access, if any (used
+        by the continuous invariant checker for Proposition 1)."""
         out = self._outstanding
-        if out is not None and out.deferred_probe is not None:
-            return out.deferred_probe.line
-        return None
+        return out.deferred_probe if out is not None else None

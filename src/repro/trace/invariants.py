@@ -12,11 +12,14 @@ check unsound mid-run, and are excluded:
   These are tracked from ``eviction_issued``/``eviction_applied`` events.
 
 On top of agreement it checks the paper's Assumption 1 / Proposition 1
-consequence -- at any time at most one request per line is queued at a
-core (as a deferred probe or a lease-queued probe) -- and audits the L1
-pin refcounts exactly: each granted live lease holds one pin reference,
-each queued probe one more, and no line is pinned without a matching
-lease-table entry (catching both leaks and underflows).
+consequence -- at any time the probes queued at cores on one line, as
+deferred probes or lease-queued probes, all belong to one request (the
+directory keeps one transaction in flight per line; a GetX invalidates
+every sharer, so several cores may queue that one request's probes) --
+and audits the L1 pin refcounts exactly: each granted live lease holds
+one pin reference, each queued probe one more, and no line is pinned
+without a matching lease-table entry (catching both leaks and
+underflows).
 
 Violations raise :class:`~repro.errors.ProtocolError` immediately, with
 the event and cycle that exposed them, so CI catches protocol regressions
@@ -32,6 +35,7 @@ from . import events as ev
 from .bus import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..coherence.directory import Request
     from ..core.machine import Machine
 
 
@@ -92,12 +96,13 @@ class InvariantTracer(Tracer):
             if entry.busy or entry.queue or pending.get(line):
                 continue
             d.check_line(line, entry)
-        # 2. Proposition 1: at most one request queued per line at a core.
-        queued: dict[int, int] = {}
+        # 2. Proposition 1: the probes queued at cores on a line, deferred
+        # or lease-queued, belong to one request.
+        queued: dict[int, set[Request]] = {}
         for unit in d.mem_units:
-            dline = unit.deferred_probe_line
-            if dline is not None:
-                queued[dline] = queued.get(dline, 0) + 1
+            probe = unit.deferred_probe
+            if probe is not None:
+                queued.setdefault(probe.line, set()).add(probe.req)
             mgr = unit.lease_mgr
             expected: dict[int, int] = {}
             if mgr is not None:
@@ -109,15 +114,16 @@ class InvariantTracer(Tracer):
                         expected[e.line] = expected.get(e.line, 0) + 1
                     if e.queued_probe is not None:
                         expected[e.line] = expected.get(e.line, 0) + 1
-                        queued[e.line] = queued.get(e.line, 0) + 1
+                        queued.setdefault(e.line, set()).add(
+                            e.queued_probe.req)
             actual = unit.l1.pinned_lines()
             if actual != expected:
                 raise ProtocolError(
                     f"core {unit.core_id}: pin refcounts diverge from the "
                     f"lease table: L1 pins {actual}, leases+queued probes "
                     f"imply {expected}")
-        for line, n in queued.items():
-            if n > 1:
+        for line, reqs in queued.items():
+            if len(reqs) > 1:
                 raise ProtocolError(
-                    f"line {line}: {n} requests queued at cores "
-                    "(Proposition 1 allows at most one)")
+                    f"line {line}: probes of {len(reqs)} requests queued at "
+                    "cores (Proposition 1 allows at most one)")

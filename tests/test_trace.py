@@ -394,6 +394,46 @@ def test_invariant_tracer_detects_corrupted_l1():
     assert inv.checks_run > 0
 
 
+def test_invariant_tracer_accepts_one_invalidation_deferred_twice():
+    """At 4 threads on the base arm a GetX invalidates sharers that are
+    still waiting for their own data, and two of them defer the same
+    request's probe: one transaction in flight, two probes queued."""
+    inv = InvariantTracer()
+    bench_stack(4, variant="base", ops_per_thread=4, sinks=[inv])
+    assert inv.checks_run > 100
+
+
+def _defer_probe(m, core, req):
+    """Leave ``core`` with ``req``'s probe deferred behind a granted access
+    to the same line, as ``MemUnit.handle_probe`` does."""
+    from repro.coherence.directory import Request
+    from repro.coherence.memunit import Probe, _Outstanding
+
+    own = Request(MessageKind.GETS, req.line, core, False, lambda: None)
+    out = _Outstanding(own, own.callback)
+    out.granted = True
+    out.deferred_probe = Probe(req.line, MessageKind.INV, False, req, core)
+    m.cores[core].memunit._outstanding = out
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["one", "two"])
+def test_invariant_tracer_counts_requests_queued_on_a_line(distinct):
+    from repro.coherence.directory import Request
+
+    m = make_machine(3)
+    inv = m.attach_tracer(InvariantTracer())
+    first = Request(MessageKind.GETX, 64, 0, False, lambda: None)
+    second = (Request(MessageKind.GETX, 64, 0, False, lambda: None)
+              if distinct else first)
+    _defer_probe(m, 1, first)
+    _defer_probe(m, 2, second)
+    if distinct:
+        with pytest.raises(ProtocolError, match="2 requests queued at cores"):
+            inv.check()
+    else:
+        inv.check()
+
+
 def test_invariant_tracer_requires_bind():
     inv = InvariantTracer()
     with pytest.raises(ProtocolError):
