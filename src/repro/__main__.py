@@ -469,6 +469,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .check import (CLUSTER_REPRO_FORMAT, load_repro,
                         replay_cluster_repro, replay_repro, run_campaign,
                         run_cluster_campaign)
+    from .check.campaign import repro_field
     from .check.identity import IDENTITY_FORMAT, replay_identity, run_identity
     from .errors import ReproError
 
@@ -502,26 +503,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as err:
             raise _CliError(f"check replay: {err}") from None
         fmt = data.get("format") if isinstance(data, dict) else None
-        if fmt == CLUSTER_REPRO_FORMAT:
-            print(f"replaying {args.repro}: cluster "
-                  f"structure={data.get('structure', 'counter')} "
-                  f"nodes={data.get('nodes')} "
-                  f"quorum={data.get('quorum')} "
-                  f"decisions={len(data.get('decisions', {}))}")
-            replay = replay_cluster_repro
-        elif fmt == IDENTITY_FORMAT:
-            print(f"replaying {args.repro}: identity axis={data.get('axis')}")
-            replay = replay_identity
-        else:
+        if fmt not in (CLUSTER_REPRO_FORMAT, IDENTITY_FORMAT):
             try:
                 data = load_repro(args.repro)
             except (OSError, ValueError, ReproError) as err:
                 raise _CliError(f"check replay: {err}") from None
-            print(f"replaying {args.repro}: target={data.get('target')} "
-                  f"variant={data.get('variant')} "
-                  f"decisions={len(data.get('decisions', {}))}")
-            replay = replay_repro
         try:
+            if fmt == IDENTITY_FORMAT:
+                print(f"replaying {args.repro}: identity "
+                      f"axis={data.get('axis')}")
+                replay = replay_identity
+            else:
+                n = len(repro_field(data, fmt, "decisions", {}))
+                if fmt == CLUSTER_REPRO_FORMAT:
+                    print(f"replaying {args.repro}: cluster "
+                          f"structure={data.get('structure', 'counter')} "
+                          f"nodes={data.get('nodes')} "
+                          f"quorum={data.get('quorum')} decisions={n}")
+                    replay = replay_cluster_repro
+                else:
+                    print(f"replaying {args.repro}: "
+                          f"target={data.get('target')} "
+                          f"variant={data.get('variant')} decisions={n}")
+                    replay = replay_repro
             out = replay(data)
         except ReproError as err:
             raise _CliError(f"check replay: {err}") from None

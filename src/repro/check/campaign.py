@@ -576,18 +576,30 @@ def malformed_repro(fmt: str, err: Exception) -> ReproError:
     return ReproError(f"malformed {fmt} repro ({type(err).__name__}: {err})")
 
 
+def repro_field(repro: dict, fmt: str, name: str, default: Any) -> Any:
+    """``repro[name]``, or ``default`` when the field is absent.  A value
+    of another type than ``default``'s makes a malformed ``fmt`` repro."""
+    value = repro.get(name, default)
+    if not isinstance(value, type(default)):
+        raise malformed_repro(fmt, TypeError(
+            f"{name} is {type(value).__name__}, not "
+            f"{type(default).__name__}"))
+    return value
+
+
 def replay_repro(repro: dict) -> RunOutcome:
     """Re-execute a repro dict (as written by :func:`run_campaign`)
     deterministically and return the outcome of the checks."""
+    fmt = REPRO_FORMAT
     try:
         target = resolve_target(repro["target"])
         variant = repro["variant"]
         cfg = replace(target.config_for(variant),
                       seed=int(repro["machine_seed"]),
-                      fault_spec=repro.get("fault_spec", ""))
-        decisions = {int(k): int(v)
-                     for k, v in repro.get("decisions", {}).items()}
+                      fault_spec=repro_field(repro, fmt, "fault_spec", ""))
+        decisions = {int(k): int(v) for k, v in
+                     repro_field(repro, fmt, "decisions", {}).items()}
     except (KeyError, TypeError, ValueError) as err:
-        raise malformed_repro(REPRO_FORMAT, err) from None
+        raise malformed_repro(fmt, err) from None
     return run_once(target, variant, cfg, ReplayStrategy(decisions),
-                    traffic=repro.get("traffic", ""))
+                    traffic=repro_field(repro, fmt, "traffic", ""))

@@ -288,11 +288,23 @@ def test_check_replay_missing_file(tmp_path, capsys):
     assert "check replay:" in capsys.readouterr().err
 
 
+_CHECK_REPRO = {"format": "repro-check/1", "target": "treiber",
+                "variant": "base", "machine_seed": 1}
+_CLUSTER_REPRO = {"format": "repro-cluster/1", "nodes": 3, "machine_seed": 1}
+
+
 @pytest.mark.parametrize("doc", [
     [],                                     # not a JSON object
     {"format": "repro-check/1"},            # no target
     {"format": "repro-cluster/1"},          # no nodes
-], ids=["array", "check-no-target", "cluster-no-nodes"])
+    {**_CHECK_REPRO, "decisions": 5},
+    {**_CLUSTER_REPRO, "decisions": 5},
+    {**_CHECK_REPRO, "traffic": 5},
+    {**_CHECK_REPRO, "fault_spec": 5},
+    {**_CLUSTER_REPRO, "cluster_spec": 5},
+], ids=["array", "check-no-target", "cluster-no-nodes",
+        "check-int-decisions", "cluster-int-decisions", "check-int-traffic",
+        "check-int-fault-spec", "cluster-int-cluster-spec"])
 def test_check_replay_malformed_file(doc, tmp_path, capsys):
     import json
     path = tmp_path / "r.json"
