@@ -37,12 +37,6 @@ class OpRecord:
     invoked: int        #: cycle the operation was invoked
     responded: int      #: cycle the operation's response was observed
 
-    def overlaps(self, other: "OpRecord") -> bool:
-        """True when the two operations were concurrent (their
-        invocation/response intervals intersect)."""
-        return not (self.responded < other.invoked
-                    or other.responded < self.invoked)
-
     def __str__(self) -> str:
         args = ", ".join(repr(a) for a in self.args)
         return (f"t{self.tid} {self.op}({args}) -> {self.result!r} "

@@ -51,9 +51,6 @@ class L1Cache:
         self.trace = trace
         self.core_id = core_id
 
-    def _set_of(self, line: int) -> OrderedDict[int, None]:
-        return self._sets[line % self.num_sets]
-
     def _ensure(self, line: int) -> None:
         st = self._st
         if line >= len(st):

@@ -223,10 +223,6 @@ class Directory:
         the invariant tracer iterate this; built on demand)."""
         return {line: DirEntry(self, line) for line in range(self._n)}
 
-    def _entry(self, line: int) -> DirEntry:
-        self._ensure(line)
-        return DirEntry(self, line)
-
     # -- ingress ---------------------------------------------------------
 
     def issue(self, req: Request) -> None:

@@ -457,10 +457,6 @@ class LeaseManager:
     # Introspection
     # ------------------------------------------------------------------
 
-    def held_lines(self) -> list[int]:
-        """Lines currently held under a started lease (tests/debugging)."""
-        return [e.line for e in self.table.entries() if e.started]
-
     def is_leased(self, addr: int) -> bool:
         entry = self.table.get(self.amap.line_of(addr))
         return entry is not None and entry.holds_line

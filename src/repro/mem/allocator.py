@@ -39,10 +39,6 @@ class Allocator:
         #: line -> symbolic allocation label (trace heatmaps).
         self._labels: dict[int, str] = {}
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._next
-
     def alloc(self, nbytes: int, *, align: int | None = None,
               label: str | None = None) -> int:
         """Allocate ``nbytes`` and return the base byte address."""
