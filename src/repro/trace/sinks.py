@@ -18,9 +18,9 @@ rest is derived from that table:
   event counts against the run's counter totals, read off the table.
 
 Adding a counted event kind is therefore one event class, one row and one
-``Counters`` field.  Capture sinks (``JsonlTracer``, ``RingBufferTracer``) consume
-every type as objects; ``ContentionHeatmap`` declares interest in just the
-four kinds it reads.
+``Counters`` field.  Capture sinks (``JsonlTracer``, ``RingBufferTracer``)
+consume every type as objects; ``ContentionHeatmap`` declares interest in
+just the four kinds it reads.
 """
 
 from __future__ import annotations
