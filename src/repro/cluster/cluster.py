@@ -156,6 +156,12 @@ class Cluster:
     STATE_SCHEMA = 1
 
     def enable_checkpointing(self) -> None:
+        """Start every node's resume log, which :meth:`state_dict` needs.
+        Must be called before the cluster first runs.  Idempotent, as
+        :meth:`Machine.enable_checkpointing` is: a cluster already
+        recording, a restored one included, is left as it is."""
+        if all(m._replay_log is not None for m in self.nodes):
+            return
         if self._ran:
             raise SimulationError(
                 "enable_checkpointing() must be called before the cluster "

@@ -73,6 +73,28 @@ def test_restore_counts_checkpoint_traffic():
     assert merged.checkpoints_restored == 3
 
 
+def test_enable_checkpointing_after_restore_is_a_noop():
+    """A restored cluster is already recording, as a restored machine is:
+    enabling checkpointing again changes nothing, the cluster can be
+    snapshotted again, and the run ends where the reference run does."""
+    ref, _ = _build(_ccfg(nodes=2))
+    ref.run()
+    expected = _final(ref)
+
+    a, _ = _build(_ccfg(nodes=2))
+    a.enable_checkpointing()
+    a.run(until=800)
+    blob = json.dumps(a.state_dict())
+
+    b, _ = _build(_ccfg(nodes=2))
+    b.load_state(json.loads(blob))
+    b.enable_checkpointing()
+    b.run(until=1_600)
+    b.state_dict()
+    b.run()
+    assert _final(b) == expected
+
+
 # -- refusal paths ------------------------------------------------------------
 
 def test_state_dict_requires_enable_checkpointing():
