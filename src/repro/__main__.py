@@ -466,11 +466,8 @@ def _check_mode(args: argparse.Namespace) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .check import (CLUSTER_REPRO_FORMAT, load_repro,
-                        replay_cluster_repro, replay_repro, run_campaign,
-                        run_cluster_campaign)
-    from .check.campaign import repro_field
-    from .check.identity import IDENTITY_FORMAT, replay_identity, run_identity
+    from .check import ClusterTarget, replay_repro, run_campaign
+    from .check.identity import run_identity
     from .errors import ReproError
 
     if args.list_targets:
@@ -502,31 +499,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 data = json.load(fh)
         except (OSError, ValueError) as err:
             raise _CliError(f"check replay: {err}") from None
-        fmt = data.get("format") if isinstance(data, dict) else None
-        if fmt not in (CLUSTER_REPRO_FORMAT, IDENTITY_FORMAT):
-            try:
-                data = load_repro(args.repro)
-            except (OSError, ValueError, ReproError) as err:
-                raise _CliError(f"check replay: {err}") from None
         try:
-            if fmt == IDENTITY_FORMAT:
-                print(f"replaying {args.repro}: identity "
-                      f"axis={data.get('axis')}")
-                replay = replay_identity
-            else:
-                n = len(repro_field(data, fmt, "decisions", {}))
-                if fmt == CLUSTER_REPRO_FORMAT:
-                    print(f"replaying {args.repro}: cluster "
-                          f"structure={data.get('structure', 'counter')} "
-                          f"nodes={data.get('nodes')} "
-                          f"quorum={data.get('quorum')} decisions={n}")
-                    replay = replay_cluster_repro
-                else:
-                    print(f"replaying {args.repro}: "
-                          f"target={data.get('target')} "
-                          f"variant={data.get('variant')} decisions={n}")
-                    replay = replay_repro
-            out = replay(data)
+            out = replay_repro(data, progress=lambda msg: print(
+                f"replaying {args.repro}: {msg}"))
         except ReproError as err:
             raise _CliError(f"check replay: {err}") from None
         if out.ok:
@@ -553,6 +528,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
               f"{report.repro['detail']}")
         return _write_repro(report.repro, args.save or "repro.identity.json")
 
+    target = args.target
     if mode == "cluster_lease":
         nodes = _parse_nodes(args.nodes) if args.nodes is not None else None
         spec = (_parse_spec("--cluster", args.cluster)
@@ -568,15 +544,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if structure not in ("counter", "treiber"):
             raise _CliError(f"--structure: unknown structure "
                             f"{structure!r} (counter or treiber)")
-        try:
-            report = run_cluster_campaign(
-                budget=budget, seed=seed, nodes=nodes,
-                cluster_spec=spec, quorum=quorum,
-                structure=structure, shrink=not args.no_shrink,
-                progress=lambda msg: print(f"  {msg}"))
-        except ReproError as err:
-            raise _CliError(str(err)) from None
-        return _report_campaign(report, args.save)
+        target = ClusterTarget(structure=structure, nodes=nodes,
+                               cluster_spec=spec, quorum=quorum)
 
     faults = _parse_spec("--faults", args.faults) if args.faults else ""
     if faults:
@@ -585,7 +554,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if traffic:
         print(f"open-loop traffic: {traffic}")
     try:
-        report = run_campaign(args.target, budget=budget, seed=seed,
+        report = run_campaign(target, budget=budget, seed=seed,
                               shrink=not args.no_shrink,
                               fault_spec=faults, traffic=traffic,
                               progress=lambda msg: print(f"  {msg}"))

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 import repro.check.campaign as campaign
+from repro.check.cluster import ClusterTarget
 from repro.check.perturb import PctStrategy, RandomStrategy, ReplayStrategy
 from repro.config import MachineConfig
 from repro.core.machine import Machine
@@ -312,13 +313,13 @@ def test_load_state_requires_fresh_machine():
 # Prefix-restore shrinking
 # ---------------------------------------------------------------------------
 
-def test_shrink_prefix_restore_same_minimal_repro(monkeypatch):
-    """ddmin with prefix-checkpointing must return the same minimal repro
-    as the restart-from-zero path while replaying fewer cycles."""
-    target = campaign.resolve_target("treiber")
-    variant, base_cfg = target.configs[1]
-    cfg = replace(base_cfg, seed=1234)
-
+def _assert_prefix_restore_shrinks_alike(monkeypatch, target, variant, cfg,
+                                         every: int) -> None:
+    """Record a perturbed schedule of ``target``, then ddmin it under a
+    synthetic oracle -- a run "fails" iff two chosen decisions both
+    applied -- once replaying every probe from cycle 0 and once with
+    prefix restore every ``every`` cycles.  Both must return the two
+    culprits, and prefix restore must replay fewer cycles."""
     rec = campaign.run_once(target, variant, cfg, RandomStrategy(5, rate=0.4))
     assert rec.ok
     full = dict(rec.decisions)
@@ -326,7 +327,6 @@ def test_shrink_prefix_restore_same_minimal_repro(monkeypatch):
     assert len(keys) >= 8
     culprits = {keys[len(keys) // 2], keys[-2]}
 
-    # Synthetic oracle: a run "fails" iff both culprit decisions applied.
     real_run_once = campaign.run_once
 
     def fake_run_once(target, variant, cfg, strategy, **kw):
@@ -344,7 +344,7 @@ def test_shrink_prefix_restore_same_minimal_repro(monkeypatch):
         stats=stats_off)
     stats_on: dict = {}
     shrunk_on, runs_on = campaign.shrink_failure(
-        target, variant, cfg, dict(full), checkpoint_every=256,
+        target, variant, cfg, dict(full), checkpoint_every=every,
         stats=stats_on)
 
     assert set(shrunk_on) == culprits
@@ -354,6 +354,26 @@ def test_shrink_prefix_restore_same_minimal_repro(monkeypatch):
     assert stats_on["cycles_replayed"] < stats_off["cycles_replayed"], \
         "prefix-restore did not save replayed cycles"
     assert stats_on["cycles_saved"] > 0
+
+
+def test_shrink_prefix_restore_same_minimal_repro(monkeypatch):
+    """ddmin with prefix-checkpointing must return the same minimal repro
+    as the restart-from-zero path while replaying fewer cycles."""
+    target = campaign.resolve_target("treiber")
+    variant, base_cfg = target.configs[1]
+    cfg = replace(base_cfg, seed=1234)
+    _assert_prefix_restore_shrinks_alike(monkeypatch, target, variant, cfg,
+                                         256)
+
+
+def test_shrink_prefix_restore_on_a_cluster(monkeypatch):
+    """The cluster target shrinks through the same ddmin, restoring
+    ``Cluster.state_dict()`` checkpoints: same minimal repro, fewer
+    cycles replayed."""
+    target = ClusterTarget(nodes=2, cluster_spec="")
+    variant, cfg = target.schedule(0, 1234, "")
+    _assert_prefix_restore_shrinks_alike(monkeypatch, target, variant, cfg,
+                                         512)
 
 
 def test_run_once_restore_from_checkpoint_matches():

@@ -1,7 +1,8 @@
-"""The cluster lease-safety fuzz campaign (``repro.check.cluster``):
-the seeded {loss x partition x skew x 2-5 nodes} grid holds the
-at-most-one-holder property, a deliberately broken quorum is caught,
-and failures produce replayable ``repro-cluster/1`` files."""
+"""The cluster lease-safety fuzz campaign (``repro.check.cluster``'s
+target, run by the shared campaign code): the seeded {loss x partition x
+skew x 2-5 nodes} grid holds the at-most-one-holder property, a
+deliberately broken quorum is caught, and failures produce replayable
+``repro-cluster/1`` files."""
 
 from __future__ import annotations
 
@@ -11,10 +12,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.check import (CLUSTER_REPRO_FORMAT, CLUSTER_SPEC_GRID, NODE_GRID,
-                         ReplayStrategy, cluster_config_for,
-                         replay_cluster_repro, run_cluster_campaign,
-                         run_cluster_once)
-from repro.check.cluster import _shrink_cluster_failure
+                         ClusterTarget, ReplayStrategy, replay_repro,
+                         run_campaign, run_once, shrink_failure)
 from repro.errors import ReproError
 
 # -- positive grid: safety holds under every kind of weather ------------------
@@ -36,15 +35,16 @@ GRID = [
                          ids=[f"n{n}-{s.split(':')[0] or 'reliable'}"
                               for n, s in GRID])
 def test_lease_safety_holds(nodes, spec):
-    ccfg = cluster_config_for(nodes=nodes, cluster_spec=spec, seed=7)
-    out = run_cluster_once(ccfg, ReplayStrategy({}))
+    target = ClusterTarget(nodes=nodes, cluster_spec=spec)
+    variant, ccfg = target.schedule(0, 7, "")
+    out = run_once(target, variant, ccfg, ReplayStrategy({}))
     assert out.ok, f"{out.kind}: {out.detail}"
     assert out.properties["acquires_checked"] > 0
     assert out.properties["max_live_holders"] == 1
 
 
 def test_campaign_sweeps_clean(tmp_path):
-    report = run_cluster_campaign(budget=32, seed=3)
+    report = run_campaign(ClusterTarget(), budget=32, seed=3)
     assert report.failure is None
     assert report.schedules_run == 32
     # The sweep actually cycled both grids.
@@ -55,8 +55,8 @@ def test_campaign_sweeps_clean(tmp_path):
 
 
 def test_campaign_treiber_structure():
-    report = run_cluster_campaign(budget=8, seed=5, structure="treiber",
-                                  nodes=3)
+    report = run_campaign(ClusterTarget(structure="treiber", nodes=3),
+                          budget=8, seed=5)
     assert report.failure is None
     assert report.ops_checked > 0
 
@@ -64,7 +64,8 @@ def test_campaign_treiber_structure():
 # -- negative: broken quorum must be caught -----------------------------------
 
 def test_broken_quorum_caught():
-    report = run_cluster_campaign(budget=8, seed=1, nodes=3, quorum=1)
+    report = run_campaign(ClusterTarget(nodes=3, quorum=1), budget=8,
+                          seed=1)
     assert report.failure is not None
     assert report.failure.kind == "property"
     assert "cluster lease safety violated" in report.failure.detail
@@ -73,9 +74,10 @@ def test_broken_quorum_caught():
 
 
 def test_broken_quorum_repro_replays(tmp_path):
-    report = run_cluster_campaign(budget=4, seed=1, nodes=2, quorum=1)
+    report = run_campaign(ClusterTarget(nodes=2, quorum=1), budget=4,
+                          seed=1)
     assert report.repro is not None
-    out = replay_cluster_repro(report.repro)
+    out = replay_repro(report.repro)
     assert not out.ok
     assert out.kind == "property"
 
@@ -85,23 +87,29 @@ def test_broken_quorum_repro_replays(tmp_path):
 def test_shrink_returns_empty_map_when_schedule_irrelevant():
     # quorum=1 fails even unperturbed, so the minimal repro is the empty
     # decision map and ddmin never engages.
-    ccfg = cluster_config_for(nodes=2, cluster_spec="", seed=1, quorum=1)
-    shrunk, runs = _shrink_cluster_failure(
-        ccfg, "counter", {3: 1, 7: 0, 11: 1})
+    target = ClusterTarget(nodes=2, cluster_spec="", quorum=1)
+    variant, ccfg = target.schedule(0, 1, "")
+    shrunk, runs = shrink_failure(target, variant, ccfg,
+                                  {3: 1, 7: 0, 11: 1})
     assert shrunk == {}
     assert runs == 1
 
 
 def test_shrink_empty_decisions_is_noop():
-    ccfg = cluster_config_for(nodes=2, cluster_spec="", seed=1, quorum=1)
-    assert _shrink_cluster_failure(ccfg, "counter", {}) == ({}, 0)
+    target = ClusterTarget(nodes=2, cluster_spec="", quorum=1)
+    variant, ccfg = target.schedule(0, 1, "")
+    assert shrink_failure(target, variant, ccfg, {}) == ({}, 0)
 
 
 # -- repro files + CLI --------------------------------------------------------
 
 def test_replay_rejects_wrong_format():
-    with pytest.raises(ReproError, match="repro-cluster/1"):
-        replay_cluster_repro({"format": "repro-check/1"})
+    # One replay reads every format, so an unknown one is refused with
+    # the formats it knows.
+    with pytest.raises(ReproError,
+                       match="not a repro-check/1, repro-cluster/1 or "
+                             "repro-identity/1 repro"):
+        replay_repro({"format": "repro-cluster/0"})
 
 
 def test_cli_campaign_pass(capsys):

@@ -14,8 +14,7 @@ import json
 
 import pytest
 
-from repro.check import (CLUSTER_REPRO_FORMAT, TARGETS, replay_cluster_repro,
-                         replay_repro)
+from repro.check import CLUSTER_REPRO_FORMAT, TARGETS, replay_repro
 from repro.check.campaign import REPRO_FORMAT
 from repro.config import MachineConfig
 from repro.core.machine import Machine
@@ -38,7 +37,7 @@ def test_repro_check_with_engine_key_replays():
 
 
 def test_repro_cluster_with_engine_key_replays():
-    out = replay_cluster_repro({
+    out = replay_repro({
         "format": CLUSTER_REPRO_FORMAT, "structure": "counter", "nodes": 2,
         "quorum": None, "cluster_spec": "", "machine_seed": 42,
         "engine": "fast", "decisions": {},
