@@ -34,11 +34,11 @@ Storage layout
 Per-line directory state lives in flat arrays indexed by line id --
 ``_st`` (DirState as int), ``_owner`` (-1 = none), ``_sharers`` (bitmask of
 core ids), ``_busy`` (bytearray) -- with per-line FIFO queues allocated
-lazily in ``_queues`` only for lines that ever see contention.  The hot
-transaction paths index the arrays directly; :class:`DirEntry` survives as
-a *view* over one line's columns for introspection, invariant checking and
-checkpointing.  Sharer iteration walks the bitmask in ascending bit order,
-which is exactly the canonical sorted order the probe fan-out requires.
+lazily in ``_queues`` only for lines that ever see contention.  The
+transaction paths, the checks and checkpointing index the arrays
+directly; ``state_of``/``owner_of``/``sharers_of`` read one line.  Sharer
+iteration walks the bitmask in ascending bit order, which is exactly the
+canonical sorted order the probe fan-out requires.
 """
 
 from __future__ import annotations
@@ -117,60 +117,6 @@ def _mask_to_sorted(mask: int) -> list[int]:
     return out
 
 
-class DirEntry:
-    """Read/write view over one line's columns in the directory arrays.
-
-    Kept for introspection (tests, the invariant tracer, checkpointing);
-    the transaction hot paths index the flat arrays directly.
-    """
-
-    __slots__ = ("_d", "line")
-
-    def __init__(self, directory: "Directory", line: int) -> None:
-        self._d = directory
-        self.line = line
-
-    @property
-    def state(self) -> DirState:
-        d = self._d
-        return DirState(d._st[self.line]) if self.line < d._n \
-            else DirState.UNCACHED
-
-    @state.setter
-    def state(self, value: DirState) -> None:
-        self._d._ensure(self.line)
-        self._d._st[self.line] = int(value)
-
-    @property
-    def owner(self) -> int | None:
-        d = self._d
-        if self.line >= d._n:
-            return None
-        o = d._owner[self.line]
-        return None if o < 0 else o
-
-    @owner.setter
-    def owner(self, value: int | None) -> None:
-        self._d._ensure(self.line)
-        self._d._owner[self.line] = -1 if value is None else value
-
-    @property
-    def sharers(self) -> set[int]:
-        d = self._d
-        mask = d._sharers[self.line] if self.line < d._n else 0
-        return set(_mask_to_sorted(mask))
-
-    @property
-    def busy(self) -> bool:
-        d = self._d
-        return bool(d._busy[self.line]) if self.line < d._n else False
-
-    @property
-    def queue(self) -> deque:
-        q = self._d._queues.get(self.line)
-        return q if q is not None else deque()
-
-
 class Directory:
     """The (logically distributed) MSI directory."""
 
@@ -216,12 +162,6 @@ class Directory:
             self._sharers.extend([0] * grow)
             self._busy.extend(b"\x00" * grow)
             self._n = line + 1
-
-    @property
-    def entries(self) -> dict[int, DirEntry]:
-        """Views over every line the directory has ever tracked (tests and
-        the invariant tracer iterate this; built on demand)."""
-        return {line: DirEntry(self, line) for line in range(self._n)}
 
     # -- ingress ---------------------------------------------------------
 
@@ -555,7 +495,7 @@ class Directory:
         for line in range(self._n):
             self.check_line(line)
 
-    def check_line(self, line: int, e: DirEntry | None = None) -> None:
+    def check_line(self, line: int) -> None:
         """Assert directory/L1 agreement for one *settled* line (no busy
         transaction, no in-flight eviction notice).  The continuous
         :class:`~repro.trace.invariants.InvariantTracer` calls this per
