@@ -270,12 +270,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     checkpointing = bool(args.checkpoint_every or args.resume
                          or args.warm_start)
     policy = None
-    if checkpointing and "nodes" in exp.common:
-        raise _CliError(
-            "--checkpoint-every/--resume/--warm-start: the per-cell "
-            "checkpoint hook is single-machine; cluster state roundtrips "
-            "through Cluster.state_dict()/load_state() (see DESIGN.md "
-            "§13)")
     if checkpointing:
         if jobs > 1:
             raise _CliError(

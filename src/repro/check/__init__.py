@@ -22,12 +22,12 @@ This package closes that gap:
   safety (at most one holder per object) fuzzed under message loss,
   duplication, partitions and timer skew;
 * :mod:`~repro.check.identity` -- ``python -m repro check identity``:
-  checkpoint restore, ``network=infinite``, cluster state roundtrips and
-  ``--jobs`` must leave every experiment arm's results unchanged.
+  checkpoint restore (machine and cluster alike), ``network=infinite``
+  and ``--jobs`` must leave every experiment arm's results unchanged.
 """
 
 from .campaign import (CampaignReport, CheckTarget, EXPERIMENT_ALIASES,
-                       RunOutcome, TARGETS, Trial, load_repro, replay_repro,
+                       RunOutcome, TARGETS, Trial, replay_repro,
                        resolve_target, run_campaign, run_once,
                        shrink_failure)
 from .cluster import (CLUSTER_REPRO_FORMAT, CLUSTER_SPEC_GRID, NODE_GRID,
@@ -43,7 +43,7 @@ from .properties import (ClusterLeaseSafetyTracer, LeasePropertyTracer,
 
 __all__ = [
     "CampaignReport", "CheckTarget", "EXPERIMENT_ALIASES", "RunOutcome",
-    "TARGETS", "Trial", "load_repro", "replay_repro", "resolve_target",
+    "TARGETS", "Trial", "replay_repro", "resolve_target",
     "run_campaign", "run_once", "shrink_failure",
     "HistoryRecorder", "OpRecord",
     "LinearizationResult", "check_history",

@@ -34,7 +34,6 @@ they share -- and emits a repro dict that :func:`replay_repro` (or
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -43,6 +42,7 @@ from ..core.machine import Machine
 from ..errors import (LeaseError, ProtocolError, ReproError, SimulationError,
                       SimulationTimeout)
 from ..core.isa import Load, Store, Work
+from ..state import run_sliced
 from ..structures.counter import LockedCounter
 from ..sync.locks import ReciprocatingLock, SPIN_PAUSE
 from ..workloads.table import ZOO_ARMS, open_loop, populate
@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CheckTarget", "Trial", "RunOutcome", "CampaignReport",
            "TARGETS", "EXPERIMENT_ALIASES", "resolve_target", "run_once",
-           "run_campaign", "replay_repro", "load_repro"]
+           "run_campaign", "replay_repro"]
 
 REPRO_FORMAT = "repro-check/1"
 
@@ -371,9 +371,10 @@ def run_once(target: CheckTarget | ClusterTarget, variant: str,
 
     Checkpoint hooks (used by the prefix-restore shrinker): with
     ``checkpoints`` (a list to fill) and ``checkpoint_every`` set, the run
-    is sliced and ``(queue-watermark, state_dict)`` pairs are appended
-    every interval; with ``restore_from`` (a state tree), the machine or
-    cluster is restored from it before running, skipping the
+    is sliced by :func:`~repro.state.run_sliced`, the loop behind ``run
+    --checkpoint-every``, and ``(queue-watermark, state_dict)`` pairs are
+    appended every interval; with ``restore_from`` (a state tree), the
+    machine or cluster is restored from it before running, skipping the
     already-explored prefix.
     """
     if traffic and not target.open_loop:
@@ -391,17 +392,14 @@ def run_once(target: CheckTarget | ClusterTarget, variant: str,
             strategy=strategy.describe(), properties=trial.props.summary(),
             cycles=sim.now)
 
+    every = checkpoint_every if checkpoints is not None else None
     try:
         if restore_from is not None:
             owner.load_state(restore_from)
-        if checkpoints is not None and checkpoint_every:
+        if every:
             owner.enable_checkpointing()
-            while not sim.quiescent():
-                owner.run(until=sim.now + checkpoint_every)
-                if sim.quiescent() or sim.queue.peek_time() is None:
-                    break
-                checkpoints.append((sim.queue.next_seq, owner.state_dict()))
-        owner.run()
+        run_sliced(owner, every, lambda: checkpoints.append(
+            (sim.queue.next_seq, owner.state_dict())))
         trial.settle()
     except SimulationTimeout as exc:
         return outcome("timeout", f"no quiescence ({target.stall}): {exc}")
@@ -633,16 +631,6 @@ def run_campaign(target: str | CheckTarget | ClusterTarget, *,
 
 
 # -- repro files --------------------------------------------------------------
-
-def load_repro(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    fmt = data.get("format") if isinstance(data, dict) else None
-    if fmt != REPRO_FORMAT:
-        raise ReproError(
-            f"{path}: not a {REPRO_FORMAT} repro file (format={fmt!r})")
-    return data
-
 
 def malformed_repro(fmt: str, err: Exception) -> ReproError:
     """The error for a repro document of format ``fmt`` that lacks a

@@ -2,15 +2,15 @@
 
 ``python -m repro check identity --budget N --seed S`` draws one cell per
 round (an experiment arm, threads, protocol, faults, ``--network``,
-``--traffic`` when the driver takes one, a schedule strategy) and runs it
-through :func:`repro.harness.runner.sweep` with a run hook at the
+``--traffic`` when the driver takes one, a schedule strategy; every fifth
+round a cluster experiment's arm, with nodes and a cluster spec) and runs
+it through :func:`repro.harness.runner.sweep` with a run hook at the
 :mod:`repro.state.hooks` seam, the path ``run`` takes.  The axes --
-``restore`` (``--checkpoint-every``, then ``--resume``), ``infinite``
-(``network="infinite"`` against no spec), ``cluster`` (a
-``Cluster.state_dict()`` roundtrip, every fifth round) and ``jobs``
-(serial against 2 workers, once) -- must leave the ``RunResult``, the
-events processed and the final cycle unchanged.  The first divergence
-stops the run with a ``repro-identity/1`` document that
+``restore`` (``--checkpoint-every``, then ``--resume``, for a machine
+and a cluster alike), ``infinite`` (``network="infinite"`` against no
+spec) and ``jobs`` (serial against 2 workers, once) -- must leave the
+``RunResult``, the events processed and the final cycle unchanged.  The
+first divergence stops the run with a ``repro-identity/1`` document that
 :func:`replay_identity` re-runs.  See DESIGN.md section 12.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import json
 import random
 import tempfile
 from collections import Counter
@@ -171,25 +170,6 @@ def _infinite(cell: dict, straight: dict):
             _run(dict(cell, network="infinite")))
 
 
-def _cluster(cell: dict, straight: dict, *, cut: int):
-    saved = []
-
-    def save_at_cut(cluster) -> None:
-        cluster.enable_checkpointing()
-        cluster.run(until=cut)
-        saved.append(json.dumps(cluster.state_dict()))
-        cluster.run()
-
-    def restore(cluster) -> None:
-        cluster.load_state(json.loads(saved[0]))
-        cluster.run()
-
-    got = _run(cell, save_at_cut)
-    if got != straight:
-        return "the checkpointed run", straight, got
-    return "the restored run", straight, _run(cell, restore)
-
-
 def _jobs(cell: dict, straight: None):
     exp = EXPERIMENTS[cell["experiment"]]
     serial, fanned = ({f"{arm}@t={r.num_threads}": dataclasses.asdict(r)
@@ -200,8 +180,7 @@ def _jobs(cell: dict, straight: None):
     return "the --jobs 2 sweep", serial, fanned
 
 
-AXES = {"restore": _restore, "infinite": _infinite, "cluster": _cluster,
-        "jobs": _jobs}
+AXES = {"restore": _restore, "infinite": _infinite, "jobs": _jobs}
 
 
 def _params(axis: str, rng: random.Random, straight: dict | None) -> dict:
@@ -210,8 +189,6 @@ def _params(axis: str, rng: random.Random, straight: dict | None) -> dict:
     if axis == "restore":
         return {"every": max(1, cycle * rng.randint(2, 4) // 8),
                 "pick": rng.randrange(8)}
-    if axis == "cluster":
-        return {"cut": max(1, cycle * rng.randint(1, 7) // 8)}
     return {}
 
 
@@ -242,8 +219,8 @@ class IdentityReport:
                 f"{len({e for e, _ in self.arms})} experiment(s), "
                 f"{len(self.arms)} arm(s): restore {k['restore']} (traffic "
                 f"{k['traffic']}, network {k['network']}, 8 threads "
-                f"{k['8 threads']}), infinite {k['infinite']}, cluster "
-                f"{k['cluster']}, jobs {k['jobs']}")
+                f"{k['8 threads']}, cluster {k['cluster']}), infinite "
+                f"{k['infinite']}, jobs {k['jobs']}")
 
 
 def run_identity(*, budget: int = 100, seed: int = 1) -> IdentityReport:
@@ -256,8 +233,7 @@ def run_identity(*, budget: int = 100, seed: int = 1) -> IdentityReport:
             report.rounds += 1
             cell = draw_cell(rng, cluster=i % 5 == 4)
             straight = _run(cell)
-            axes = ["cluster" if "nodes" in cell else "restore"]
-            axes += [] if cell["network"] else ["infinite"]
+            axes = ["restore"] + ([] if cell["network"] else ["infinite"])
         else:   # once per invocation, without a strategy: a serial sweep
             # carries one strategy's RNG from cell to cell, workers do not
             cell = dict(draw_cell(rng), strategy="none")
@@ -268,7 +244,8 @@ def run_identity(*, budget: int = 100, seed: int = 1) -> IdentityReport:
             if axis == "restore":
                 report.counts.update(
                     [k for k in ("traffic", "network") if cell[k]]
-                    + ["8 threads"] * (cell["threads"] == 8))
+                    + ["8 threads"] * (cell["threads"] == 8)
+                    + ["cluster"] * ("nodes" in cell))
             p = _params(axis, rng, straight)
             leg, reference, got = AXES[axis](cell, straight, **p)
             if got != reference:

@@ -104,10 +104,10 @@ class Cluster:
                                                  self.agents[n], self.trace)
                          for n in range(cfg.nodes)]
         # The cluster owns quiescence: run until every node's threads are
-        # done (lease timers and weather events may remain queued).
+        # done (lease timers and weather events may remain queued).  The
+        # nodes raise ``sim.quiesce_dirty`` on thread start and finish.
         self.sim.quiescent = lambda: all(
             m._live_threads == 0 for m in self.nodes)
-        self.sim.use_quiescence_notify()
         self._ran = False
 
     # -- instrumentation -----------------------------------------------------
@@ -181,10 +181,7 @@ class Cluster:
             "machines": [m.component_state(codec) for m in self.nodes],
             "net": self.net.state_dict(),
             "agents": [a.state_dict() for a in self.agents],
-            "sinks": [[type(s).__name__,
-                       s.state_dict(codec) if hasattr(s, "state_dict")
-                       else None]
-                      for s in self.trace.sinks],
+            "sinks": self.trace.sinks_state(codec),
             "ran": self._ran,
         }
         if self.schedule_strategy is not None and \
@@ -218,7 +215,8 @@ class Cluster:
         # agents/network (emissions, rng draws, message sends).  All of
         # that is overwritten below -- queue, sim, net, agents and sinks
         # are installed from the snapshot -- so only the bus needs
-        # silencing here.
+        # silencing here, and before the replay: a replayed guard that
+        # was denied emits ``cluster_guard_denied`` on it.
         self.trace.mute()
         try:
             entries = [m.replay_resume_log(ms["replay_log"], codec)
@@ -235,18 +233,7 @@ class Cluster:
             self.net.load_state(state["net"])
             for agent, astate in zip(self.agents, state["agents"]):
                 agent.load_state(astate)
-            sinks = self.trace.sinks
-            if len(state["sinks"]) != len(sinks):
-                raise CheckpointMismatch(
-                    f"checkpoint has {len(state['sinks'])} cluster trace "
-                    f"sinks, cluster has {len(sinks)}")
-            for sink, (cls_name, ss) in zip(sinks, state["sinks"]):
-                if type(sink).__name__ != cls_name:
-                    raise CheckpointMismatch(
-                        f"cluster trace sink mismatch: checkpoint saved "
-                        f"{cls_name}, cluster has {type(sink).__name__}")
-                if ss is not None and hasattr(sink, "load_state"):
-                    sink.load_state(ss, codec)
+            self.trace.load_sinks_state(state["sinks"], codec)
             self._ran = state["ran"]
         finally:
             self.trace.unmute()

@@ -10,13 +10,13 @@ fast path (and emitting ``cluster_guard_denied``) when the cluster lease
 lapsed under the worker.
 
 Checkpoint contract: worker generators call into this manager *between*
-yields, so its reads of live agent state must replay from the resume log
-(the :class:`~repro.core.thread.Ctx` ``alloc`` idiom).  Each poll of the
-cluster-lease state records a ``("cpoll", tid, held)`` entry and each
-guard decision a ``("cguard", tid, ok)`` entry; during a restore the
-recorded outcomes are consumed from the cursor instead, and the
-``request``/``stop`` side effects are skipped entirely -- the agents'
-real state is installed from the snapshot afterwards.
+yields, so its reads of live agent state go through
+:meth:`~repro.core.machine.Machine.recorded`, as ``Ctx``'s allocations
+do.  Each poll of the cluster-lease state is a ``cpoll`` entry of the
+resume log and each guard decision a ``cguard`` entry; during a restore
+the recorded outcomes are replayed instead, and the ``request``/``stop``
+side effects are skipped while the machine is ``replaying`` -- the
+agents' real state is installed from the snapshot afterwards.
 """
 
 from __future__ import annotations
@@ -54,46 +54,33 @@ class DistributedLeaseManager:
         with :meth:`release`.  Use as ``yield from mgr.acquire(ctx, obj)``.
         """
         m = self._machine
-        if m._replay_cursor is None:
+        if not m.replaying:
+            # On replay the interest is in the snapshotted agent state.
             self._agent.request(obj)
         # The cursor must be re-read on every iteration: a checkpoint can
         # cut this loop mid-poll, in which case the restore replays the
         # recorded polls and the loop then carries on live -- the replay /
         # live boundary falls between two iterations of this generator.
-        while True:
-            cursor = m._replay_cursor
-            if cursor is not None:
-                # Restore replay: poll outcomes come from the log; the
-                # interest side effect is in the snapshotted agent state.
-                held = cursor.take("cpoll", ctx.tid)
-            else:
-                held = self._agent.holding(obj)
-                if m._replay_log is not None:
-                    m._replay_log.append(("cpoll", ctx.tid, held, m.sim.now))
-            if held:
-                return
+        # ``recorded`` reads it afresh on each call.
+        while not m.recorded("cpoll", ctx.tid, self._agent.holding, obj):
             yield Work(self.poll_cycles)
 
     def release(self, obj: int) -> None:
         """Drop the interest taken by :meth:`acquire` (plain call, not a
         yield: releasing sends no intra-node traffic)."""
-        if self._machine._replay_cursor is not None:
-            return
-        self._agent.stop(obj)
+        if not self._machine.replaying:
+            self._agent.stop(obj)
 
     def guard(self, ctx, obj: int) -> bool:
         """Check (and record) whether this node still holds the cluster
         lease on ``obj``.  Workers call this before each operation in a
         burst; a False means the lease expired under them and they must
         re-:meth:`acquire`.  Emits ``cluster_guard_denied`` on denial."""
-        m = self._machine
-        cursor = m._replay_cursor
-        if cursor is not None:
-            return cursor.take("cguard", ctx.tid)
-        ok = self._agent.holding(obj)
-        if m._replay_log is not None:
-            m._replay_log.append(("cguard", ctx.tid, ok, m.sim.now))
+        ok = self._machine.recorded("cguard", ctx.tid, self._agent.holding,
+                                    obj)
         if not ok:
+            # A replay reaches this emit too; Cluster.load_state mutes the
+            # cluster bus before it replays, so the denial is not recounted.
             self._trace.cluster_guard_denied(self.node, obj)
         return ok
 

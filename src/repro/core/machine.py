@@ -35,12 +35,13 @@ class _ReplayCursor:
     """Read position over a restored resume log.
 
     While :meth:`Machine.load_state` replays the log to re-materialize the
-    thread generators, :class:`~repro.core.thread.Ctx` pops its recorded
-    ``alloc``/``peek`` results from here (instead of re-touching the
-    allocator/memory, whose state is installed after the replay); the
-    machine itself pops the ``send``/``throw`` entries that drive the
-    generators.  Both advance the same position, because the log is one
-    global-order sequence.
+    thread generators, :meth:`Machine.recorded` pops the recorded results
+    of what thread bodies read between yields (``alloc``/``peek`` from
+    :class:`~repro.core.thread.Ctx`, ``cpoll``/``cguard`` from the
+    cluster's lease manager) from here, instead of re-touching the state
+    that is installed after the replay; the machine itself pops the
+    ``send``/``throw`` entries that drive the generators.  Both advance
+    the same position, because the log is one global-order sequence.
     """
 
     __slots__ = ("entries", "pos")
@@ -123,11 +124,9 @@ class Machine:
         self._ctxs: list[Ctx] = []
         self._live_threads = 0
         if self._owns_sim:
+            # The predicate only flips on thread start and finish, and both
+            # raise ``sim.quiesce_dirty``.
             self.sim.quiescent = lambda: self._live_threads == 0
-            # The machine's quiescence predicate only flips on thread start
-            # and finish, and both paths notify -- so the run loop can skip
-            # the per-event poll entirely.
-            self.sim.use_quiescence_notify()
         self._ran = False
         #: Checkpoint support (repro.state).  When recording is enabled,
         #: every generator interaction is appended to this global-order
@@ -135,8 +134,8 @@ class Machine:
         #: replay; None (the default) records nothing and costs nothing.
         self._replay_log: list | None = None
         #: Cursor over a restored resume log while a replay is in progress
-        #: (Ctx pops alloc/peek results from it instead of touching the
-        #: allocator/memory, whose state is installed after the replay).
+        #: (:meth:`recorded` pops results from it instead of touching the
+        #: state that is installed after the replay).
         self._replay_cursor = None
 
     # -- instrumentation -----------------------------------------------------
@@ -248,6 +247,27 @@ class Machine:
                 "first runs: the resume log must start at cycle 0")
         self._replay_log = []
 
+    @property
+    def replaying(self) -> bool:
+        """True while :meth:`load_state` replays the resume log.  Thread
+        bodies skip their side effects then: the state they would touch
+        is installed from the snapshot after the replay."""
+        return self._replay_cursor is not None
+
+    def recorded(self, kind: str, tid: int, fn: Callable[..., Any], /,
+                 *args: Any, **kwargs: Any) -> Any:
+        """``fn(*args, **kwargs)``, read by thread ``tid`` between two
+        yields, under the resume log's record-or-replay rule: while
+        recording the value is logged as a ``kind`` entry; during a
+        replay the logged value is returned and ``fn`` is not called."""
+        cursor = self._replay_cursor
+        if cursor is not None:
+            return cursor.take(kind, tid)
+        value = fn(*args, **kwargs)
+        if self._replay_log is not None:
+            self._replay_log.append((kind, tid, value, self.sim.now))
+        return value
+
     def state_dict(self) -> dict:
         """Serialize the complete machine state as a JSON-safe tree.
 
@@ -294,10 +314,7 @@ class Machine:
             "l2": self.l2.state_dict(),
             "directory": self.directory.state_dict(codec),
             "cores": [c.state_dict(codec) for c in self.cores],
-            "sinks": [[type(s).__name__,
-                       s.state_dict(codec) if hasattr(s, "state_dict")
-                       else None]
-                      for s in self.trace.sinks],
+            "sinks": self.trace.sinks_state(codec),
             "threads": [{"done": h.done, "result": codec.encode(h.result)}
                         for h in self.threads],
             "ctx_rngs": [encode_rng(c.rng) for c in self._ctxs],
@@ -426,18 +443,7 @@ class Machine:
         self.directory.load_state(state["directory"], codec)
         for core, cs in zip(self.cores, state["cores"]):
             core.load_state(cs, codec)
-        sinks = self.trace.sinks
-        if len(state["sinks"]) != len(sinks):
-            raise CheckpointMismatch(
-                f"checkpoint has {len(state['sinks'])} trace sinks, machine "
-                f"has {len(sinks)}")
-        for sink, (cls_name, ss) in zip(sinks, state["sinks"]):
-            if type(sink).__name__ != cls_name:
-                raise CheckpointMismatch(
-                    f"trace sink mismatch: checkpoint saved {cls_name}, "
-                    f"machine has {type(sink).__name__}")
-            if ss is not None and hasattr(sink, "load_state"):
-                sink.load_state(ss, codec)
+        self.trace.load_sinks_state(state["sinks"], codec)
         if self.faults is not None:
             self.faults.load_state(state["faults"])
         if self.network.contended:

@@ -71,29 +71,22 @@ class Ctx:
         """Allocate ``nwords`` words, optionally writing initial values
         directly to the backing store (no simulated traffic)."""
         m = self.machine
-        if m._replay_cursor is not None:
-            # Checkpoint restore: the thread body is being replayed to
-            # re-materialize its generator.  Return the recorded base with
-            # NO side effects -- allocator/memory state is installed from
-            # the snapshot after the replay.
-            return m._replay_cursor.take("alloc", self.tid)
-        base = m.alloc.alloc_words(nwords, line_aligned=line_aligned,
-                                   label=label)
-        if init is not None:
-            for i, v in enumerate(init):
-                m.memory.write(base + i * WORD_SIZE, v)
-        if m._replay_log is not None:
-            m._replay_log.append(("alloc", self.tid, base, m.sim.now))
-        return base
+
+        def alloc() -> int:
+            base = m.alloc.alloc_words(nwords, line_aligned=line_aligned,
+                                       label=label)
+            if init is not None:
+                for i, v in enumerate(init):
+                    m.memory.write(base + i * WORD_SIZE, v)
+            return base
+
+        # A checkpoint restore replays the recorded base with no side
+        # effects: allocator/memory state is installed from the snapshot.
+        return m.recorded("alloc", self.tid, alloc)
 
     def alloc_line(self, *, label: str | None = None) -> int:
         m = self.machine
-        if m._replay_cursor is not None:
-            return m._replay_cursor.take("alloc", self.tid)
-        base = m.alloc.alloc_line(label=label)
-        if m._replay_log is not None:
-            m._replay_log.append(("alloc", self.tid, base, m.sim.now))
-        return base
+        return m.recorded("alloc", self.tid, m.alloc.alloc_line, label=label)
 
     def alloc_cached(self, nwords: int, init: Iterable[Any] | None = None,
                      *, label: str | None = None) -> int:
@@ -102,7 +95,7 @@ class Ctx:
         allocator pool would.  The object's first *remote* access still
         costs a full coherence transfer."""
         base = self.alloc_words(nwords, init, label=label)
-        if self.machine._replay_cursor is not None:
+        if self.machine.replaying:
             # The preinstall's L1/L2/directory effects live in the
             # installed snapshot; re-running it here would also schedule
             # eviction events into the freshly restored queue.
@@ -119,16 +112,11 @@ class Ctx:
 
     def peek(self, addr: int) -> Any:
         """Read the backing store without simulating an access.  For test
-        assertions only -- workload logic must use ``yield Load(addr)``."""
+        assertions only -- workload logic must use ``yield Load(addr)``.
+        A checkpoint restore replays what the peek saw the first time:
+        memory holds the snapshot's *final* state only after restore."""
         m = self.machine
-        if m._replay_cursor is not None:
-            # Replay: memory holds the snapshot's *final* state only after
-            # restore; return what this peek saw the first time.
-            return m._replay_cursor.take("peek", self.tid)
-        value = m.memory.read(addr)
-        if m._replay_log is not None:
-            m._replay_log.append(("peek", self.tid, value, m.sim.now))
-        return value
+        return m.recorded("peek", self.tid, m.memory.read, addr)
 
 
 class ThreadHandle:

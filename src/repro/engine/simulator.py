@@ -11,13 +11,11 @@ Per event it makes one test against the horizon -- the smaller of the
 only when the horizon test trips does it decide between deferring the
 event past ``until`` and a :class:`~repro.errors.SimulationTimeout`.
 
-Quiescence is *polled* by default (the predicate runs before every event,
-as it always did) so bare simulators with ad-hoc ``quiescent`` lambdas keep
-their semantics.  A machine whose predicate only changes at discrete
-notification points (thread start/finish) opts into *notify* mode via
-:meth:`Simulator.use_quiescence_notify`; the run loop then re-evaluates the
-predicate only when :attr:`quiesce_dirty` has been raised, eliding the
-no-op polls between notifications without changing when the run stops.
+Quiescence is evaluated at the start of each run and then only when
+:attr:`quiesce_dirty` has been raised: whoever installs a ``quiescent``
+predicate raises it (or calls :meth:`Simulator.notify_quiescence`) at
+every point the predicate can flip.  A machine does so on thread start
+and finish.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ class Simulator:
 
     __slots__ = ("queue", "now", "rng", "max_cycles", "max_events",
                  "events_processed", "quiescent", "_running",
-                 "_poll_quiescence", "quiesce_dirty")
+                 "quiesce_dirty")
 
     def __init__(self, *, seed: int = 1,
                  max_cycles: int = 2_000_000_000,
@@ -63,9 +61,8 @@ class Simulator:
         #: Callable returning True when the simulation may stop early.
         self.quiescent: Callable[[], bool] = lambda: False
         self._running = False
-        self._poll_quiescence = True
-        #: In notify mode: raised whenever the quiescence predicate may
-        #: have changed; the run loop clears it after re-evaluating.
+        #: Raised whenever the quiescence predicate may have changed; the
+        #: run loop clears it after re-evaluating.
         self.quiesce_dirty = True
 
     # -- scheduling ---------------------------------------------------------
@@ -89,14 +86,6 @@ class Simulator:
         self.queue.cancel(ev)
 
     # -- quiescence notification --------------------------------------------
-
-    def use_quiescence_notify(self) -> None:
-        """Stop polling the quiescence predicate before every event; only
-        re-evaluate it after :meth:`notify_quiescence`.  Callers guarantee
-        they notify at every point the predicate can flip (the Machine does
-        so on thread start and finish)."""
-        self._poll_quiescence = False
-        self.quiesce_dirty = True
 
     def notify_quiescence(self) -> None:
         """Flag that the quiescence predicate may have changed."""
@@ -137,7 +126,6 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        poll = self._poll_quiescence
         self.quiesce_dirty = True
         heap, dead = self.queue._heap, self.queue._dead
         pop = heappop
@@ -146,7 +134,7 @@ class Simulator:
         budget = max_events - self.events_processed
         try:
             while True:
-                if poll or self.quiesce_dirty:
+                if self.quiesce_dirty:
                     self.quiesce_dirty = False
                     if self.quiescent():
                         return self.now

@@ -12,16 +12,17 @@ The on-disk container is the ``repro-ckpt/1`` format
 config, fault spec and builder descriptor, with a hard refusal to restore
 into a machine built differently.  :mod:`repro.state.hooks` is the small
 seam the CLI uses to thread periodic checkpointing / resume / warm-start
-through the workload drivers without changing their signatures.
+through the workload drivers without changing their signatures; the
+same :class:`CheckpointPolicy` serves a machine and a cluster.
 """
 
 from .codec import SnapshotCodec, encode_rng, decode_rng
 from .checkpoint import (CKPT_FORMAT, CKPT_SCHEMA, save_checkpoint,
                          load_checkpoint, restore_checkpoint,
                          verify_compatible, checkpoint_cell_key)
-from .periodic import CheckpointPolicy
+from .periodic import CheckpointPolicy, run_sliced
 
 __all__ = ["SnapshotCodec", "encode_rng", "decode_rng", "CKPT_FORMAT",
            "CKPT_SCHEMA", "save_checkpoint", "load_checkpoint",
            "restore_checkpoint", "verify_compatible",
-           "checkpoint_cell_key", "CheckpointPolicy"]
+           "checkpoint_cell_key", "CheckpointPolicy", "run_sliced"]

@@ -3,16 +3,23 @@
 A checkpoint file embeds everything needed to refuse a bad restore:
 
 * ``format`` / ``schema`` -- container and state-tree versions;
-* ``config`` -- the full :class:`~repro.config.MachineConfig` (including
-  the fault spec and seed) the machine was built with;
+* ``config`` -- the full config the owner was built with: a
+  :class:`~repro.config.MachineConfig` (including the fault spec and
+  seed) for a machine, a :class:`~repro.cluster.ClusterConfig` (with its
+  node template) for a cluster;
 * ``cell`` -- an optional builder descriptor (driver name, thread count,
-  kwargs) identifying *how* the machine was populated.  Two machines with
+  kwargs) identifying *how* the owner was populated.  Two machines with
   identical configs but different workloads (e.g. the ``base`` and
   ``backoff`` variants of a sweep) are **not** interchangeable: restoring
   replays the resume log into the fresh machine's generators, and a
   different workload would replay the wrong program.  The cell descriptor
   is what catches that.
-* ``state`` -- the machine state tree (see :meth:`Machine.state_dict`).
+* ``state`` -- the owner's state tree (see :meth:`Machine.state_dict`
+  and :meth:`Cluster.state_dict`).
+
+The owner is a :class:`~repro.core.machine.Machine` or a
+:class:`~repro.cluster.Cluster`: both have ``config``, ``sim``,
+``state_dict`` and ``load_state``.
 
 Restores are all-or-nothing: any mismatch raises
 :class:`~repro.errors.CheckpointMismatch` before a single field is
@@ -30,6 +37,7 @@ from typing import TYPE_CHECKING, Any
 from ..errors import CheckpointError, CheckpointMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster import Cluster
     from ..core.machine import Machine
 
 #: On-disk container format tag.
@@ -53,26 +61,28 @@ def checkpoint_cell_key(config: Any, cell: dict | None) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def build_document(machine: "Machine", *, cell: dict | None = None) -> dict:
-    """Snapshot ``machine`` into a ``repro-ckpt/1`` document."""
-    cfg = machine.config
+def build_document(owner: "Machine | Cluster", *,
+                   cell: dict | None = None) -> dict:
+    """Snapshot ``owner`` into a ``repro-ckpt/1`` document."""
+    cfg = owner.config
     return {
         "format": CKPT_FORMAT,
         "schema": CKPT_SCHEMA,
         "config": config_fingerprint(cfg),
-        "fault_spec": cfg.fault_spec,
+        # A cluster's nodes share the fault spec of its node template.
+        "fault_spec": getattr(cfg, "machine", cfg).fault_spec,
         "seed": cfg.seed,
         "cell": cell,
-        "cycle": machine.sim.now,
-        "state": machine.state_dict(),
+        "cycle": owner.sim.now,
+        "state": owner.state_dict(),
     }
 
 
-def save_checkpoint(machine: "Machine", path: str, *,
+def save_checkpoint(owner: "Machine | Cluster", path: str, *,
                     cell: dict | None = None) -> dict:
-    """Write a checkpoint of ``machine`` to ``path``; returns the
+    """Write a checkpoint of ``owner`` to ``path``; returns the
     document (whose ``state`` can also be restored in memory)."""
-    doc = build_document(machine, cell=cell)
+    doc = build_document(owner, cell=cell)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -102,15 +112,15 @@ def load_checkpoint(path: str) -> dict:
     return doc
 
 
-def verify_compatible(machine: "Machine", doc: dict, *,
+def verify_compatible(owner: "Machine | Cluster", doc: dict, *,
                       cell: dict | None = None) -> None:
     """Refuse (raise :class:`CheckpointMismatch`) unless ``doc`` was taken
-    from a machine built exactly like ``machine``."""
+    from an owner built exactly like ``owner``."""
     if doc.get("schema") != CKPT_SCHEMA:
         raise CheckpointMismatch(
             f"checkpoint schema {doc.get('schema')!r} != {CKPT_SCHEMA} "
             "(state-tree layout changed; re-record the checkpoint)")
-    have = config_fingerprint(machine.config)
+    have = config_fingerprint(owner.config)
     if doc["config"] != have:
         diff = sorted(k for k in set(have) | set(doc["config"])
                       if have.get(k) != doc["config"].get(k))
@@ -126,10 +136,10 @@ def verify_compatible(machine: "Machine", doc: dict, *,
             "restored (the resume log would replay the wrong program)")
 
 
-def restore_checkpoint(machine: "Machine", doc: dict, *,
+def restore_checkpoint(owner: "Machine | Cluster", doc: dict, *,
                        cell: dict | None = None) -> int:
-    """Verify compatibility, then restore ``doc`` into ``machine``.
+    """Verify compatibility, then restore ``doc`` into ``owner``.
     Returns the checkpoint's cycle."""
-    verify_compatible(machine, doc, cell=cell)
-    machine.load_state(doc["state"])
+    verify_compatible(owner, doc, cell=cell)
+    owner.load_state(doc["state"])
     return doc["cycle"]

@@ -5,8 +5,9 @@ and call ``machine.run()``.  Checkpointing (periodic saves, resume,
 warm-start) needs to wrap that run without changing thirteen driver
 signatures, so the drivers consult this module: when :data:`run_hook` is
 set, they call ``run_hook(machine)`` instead of ``machine.run()``.
-``bench_cluster`` passes the whole ``Cluster``; only the identity harness
-(:mod:`repro.check.identity`) hooks it, the CLI's hook is single-machine.
+``bench_cluster`` passes the whole ``Cluster`` the same way.  The CLI's
+:class:`~repro.state.periodic.CheckpointPolicy` and the identity harness
+(:mod:`repro.check.identity`) hook both kinds of owner.
 
 :data:`cell` is set by the sweep harness just before each cell runs and
 describes *which* bench/variant/thread-count is executing -- the hook uses
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-#: When set, drivers call ``run_hook(machine)`` instead of ``machine.run()``.
+#: When set, drivers call ``run_hook(owner)`` instead of ``owner.run()``.
 run_hook: Optional[Callable] = None
 
 #: Descriptor of the sweep cell currently executing:

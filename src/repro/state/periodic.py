@@ -3,10 +3,12 @@
 :class:`CheckpointPolicy` implements the CLI's ``--checkpoint-every N``,
 ``--resume CKPT`` and ``--warm-start`` flags.  The CLI installs one
 instance as :data:`repro.state.hooks.run_hook` for the duration of a
-sweep; every workload driver then routes its ``machine.run()`` through
-:meth:`CheckpointPolicy.__call__`, which
+sweep; every workload driver then routes its run through
+:meth:`CheckpointPolicy.__call__` with the owner it built -- a
+:class:`~repro.core.machine.Machine`, or the whole
+:class:`~repro.cluster.Cluster` for a cluster experiment -- which
 
-1. restores the machine from ``--resume``'s document when it matches the
+1. restores the owner from ``--resume``'s document when it matches the
    current cell (a hard :class:`~repro.errors.CheckpointMismatch` from a
    different *schema* still propagates; a different config/cell just means
    "not this cell" in a multi-cell sweep and is skipped -- the CLI errors
@@ -15,12 +17,12 @@ sweep; every workload driver then routes its ``machine.run()`` through
    the newest checkpoint whose filename key matches this exact
    (config, cell) pair and restores it, so re-running a sweep resumes
    every cell from its last saved prefix instead of cycle 0, and
-3. runs the machine in ``--checkpoint-every``-cycle slices, saving a
-   ``repro-ckpt/1`` file after each slice.
+3. runs the owner in ``--checkpoint-every``-cycle slices
+   (:func:`run_sliced`), saving a ``repro-ckpt/1`` file after each slice.
 
 Checkpoint filenames are ``ckpt_<key>_c<cycle>.json`` where ``<key>`` is
 :func:`~repro.state.checkpoint.checkpoint_cell_key` -- a hash of the
-machine config plus the sweep-cell descriptor, so two cells never read
+owner's config plus the sweep-cell descriptor, so two cells never read
 each other's files and a config change orphans (rather than corrupts)
 old checkpoints.
 """
@@ -29,20 +31,37 @@ from __future__ import annotations
 
 import os
 import re
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import CheckpointError, CheckpointMismatch
 from .checkpoint import (CKPT_SCHEMA, checkpoint_cell_key, load_checkpoint,
                          restore_checkpoint, save_checkpoint)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster import Cluster
     from ..core.machine import Machine
 
-__all__ = ["CheckpointPolicy"]
+__all__ = ["CheckpointPolicy", "run_sliced"]
+
+
+def run_sliced(owner: "Machine | Cluster", every: Optional[int],
+               save: Callable[[], None]) -> None:
+    """Run ``owner`` to the end.  With ``every``, run it in
+    ``every``-cycle slices and call ``save()`` after each slice that
+    leaves work to do: one that ends neither quiescent nor with nothing
+    left queued.  The one loop that cuts runs, for the CLI's periodic
+    checkpoints and for the shrinker's prefix checkpoints alike."""
+    sim = owner.sim
+    while every and not sim.quiescent():
+        owner.run(until=sim.now + every)
+        if sim.quiescent() or sim.queue.peek_time() is None:
+            break
+        save()
+    owner.run()    # the rest: all of it without ``every``
 
 
 class CheckpointPolicy:
-    """Run-hook that slices ``machine.run()`` into checkpointed segments
+    """Run-hook that slices an owner's run into checkpointed segments
     and restores from resume/warm-start documents.  One instance serves a
     whole sweep; it accumulates what it saved and restored for the CLI's
     summary."""
@@ -72,36 +91,32 @@ class CheckpointPolicy:
 
     # -- the run hook --------------------------------------------------------
 
-    def __call__(self, machine: "Machine") -> None:
+    def __call__(self, owner: "Machine | Cluster") -> None:
         from . import hooks
 
         cell = hooks.cell
-        machine.enable_checkpointing()
-        restored = self._try_resume(machine, cell)
-        if not restored and self.warm_start:
-            self._try_warm_start(machine, cell)
-        if not self.every:
-            machine.run()
-            return
-        key = checkpoint_cell_key(machine.config, cell)
-        while machine._live_threads > 0:
-            machine.run(until=machine.now + self.every)
-            if machine._live_threads == 0:
-                break
-            path = os.path.join(
-                self.directory, f"ckpt_{key}_c{machine.now}.json")
-            save_checkpoint(machine, path, cell=cell)
+        owner.enable_checkpointing()
+        if not self._try_resume(owner, cell) and self.warm_start:
+            self._try_warm_start(owner, cell)
+
+        def save() -> None:
+            key = checkpoint_cell_key(owner.config, cell)
+            path = os.path.join(self.directory,
+                                f"ckpt_{key}_c{owner.now}.json")
+            save_checkpoint(owner, path, cell=cell)
             self.saved.append(path)
-        machine.run()    # drain any post-quiescence bookkeeping events
+
+        run_sliced(owner, self.every, save)
 
     # -- restore sources -----------------------------------------------------
 
-    def _try_resume(self, machine: "Machine", cell: Optional[dict]) -> bool:
+    def _try_resume(self, owner: "Machine | Cluster",
+                    cell: Optional[dict]) -> bool:
         if self.resume_doc is None or self.resume_consumed:
             return False
         doc = self.resume_doc
         try:
-            cycle = restore_checkpoint(machine, doc, cell=cell)
+            cycle = restore_checkpoint(owner, doc, cell=cell)
         except CheckpointMismatch as err:
             if doc.get("schema") != CKPT_SCHEMA:
                 raise    # a wrong-schema file can never match a later cell
@@ -114,14 +129,14 @@ class CheckpointPolicy:
         self.restored.append((self.resume_path or "<resume>", cycle))
         return True
 
-    def _try_warm_start(self, machine: "Machine",
+    def _try_warm_start(self, owner: "Machine | Cluster",
                         cell: Optional[dict]) -> bool:
-        found = self._newest_for(machine, cell)
+        found = self._newest_for(owner, cell)
         if found is None:
             return False
         path, doc = found
         try:
-            cycle = restore_checkpoint(machine, doc, cell=cell)
+            cycle = restore_checkpoint(owner, doc, cell=cell)
         except CheckpointMismatch as err:
             # A stale file whose name key collides but whose content
             # disagrees: warm start is opportunistic, so skip it.
@@ -130,11 +145,11 @@ class CheckpointPolicy:
         self.restored.append((path, cycle))
         return True
 
-    def _newest_for(self, machine: "Machine", cell: Optional[dict]
+    def _newest_for(self, owner: "Machine | Cluster", cell: Optional[dict]
                     ) -> Optional[tuple[str, dict]]:
         """The highest-cycle checkpoint file named for this exact
         (config, cell) key, or None."""
-        key = checkpoint_cell_key(machine.config, cell)
+        key = checkpoint_cell_key(owner.config, cell)
         pattern = re.compile(rf"ckpt_{re.escape(key)}_c(\d+)\.json$")
         try:
             names = os.listdir(self.directory)

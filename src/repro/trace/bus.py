@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping
 
+from ..errors import CheckpointMismatch
 from .events import EVENT_TYPES, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,6 +97,12 @@ class Tracer:
         object.  A covered type reaches ``on_event`` only when another
         attached sink needs its objects."""
         return {}
+
+    def tagged(self, **fields) -> "Tracer":
+        """The sink to attach where every event carries ``fields`` too
+        (one node's bus in a cluster: ``node=n``).  Sinks that write
+        records add them; the default ignores them and returns ``self``."""
+        return self
 
 
 class NullTracer(Tracer):
@@ -174,6 +181,30 @@ class TraceBus:
     @property
     def muted(self) -> bool:
         return self._muted
+
+    # -- checkpointing (repro.state) -----------------------------------------
+
+    def sinks_state(self, codec) -> list:
+        """Each attached sink as ``[class name, state]``, in attachment
+        order; a sink without ``state_dict`` saves None."""
+        return [[type(s).__name__,
+                 s.state_dict(codec) if hasattr(s, "state_dict") else None]
+                for s in self._sinks]
+
+    def load_sinks_state(self, saved: list, codec) -> None:
+        """Install :meth:`sinks_state` into this bus's sinks, refusing
+        (:class:`~repro.errors.CheckpointMismatch`) a different sink set."""
+        if len(saved) != len(self._sinks):
+            raise CheckpointMismatch(
+                f"checkpoint has {len(saved)} trace sinks, the bus has "
+                f"{len(self._sinks)}")
+        for sink, (cls_name, state) in zip(self._sinks, saved):
+            if type(sink).__name__ != cls_name:
+                raise CheckpointMismatch(
+                    f"trace sink mismatch: checkpoint saved {cls_name}, "
+                    f"the bus has {type(sink).__name__}")
+            if state is not None and hasattr(sink, "load_state"):
+                sink.load_state(state, codec)
 
     # -- slot construction ---------------------------------------------------
 

@@ -316,7 +316,8 @@ class JsonlTracer(Tracer):
         """Set context fields merged into every subsequent event line."""
         self._extra = dict(fields)
 
-    def on_event(self, event: ev.TraceEvent) -> None:
+    def on_event(self, event: ev.TraceEvent,
+                 tags: Mapping[str, Any] | None = None) -> None:
         self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
         self.total += 1
         if self.max_events is not None and self.written >= self.max_events:
@@ -324,9 +325,16 @@ class JsonlTracer(Tracer):
         d = event.to_dict()
         if self._extra:
             d.update(self._extra)
+        if tags:
+            d.update(tags)
         self._fp.write(json.dumps(d, separators=(",", ":")))
         self._fp.write("\n")
         self.written += 1
+
+    def tagged(self, **fields: Any) -> Tracer:
+        """A sink writing through this one, with ``fields`` after the
+        annotations on each of its lines (and in the same counts)."""
+        return _TaggedJsonl(self, fields)
 
     def write_line(self, record: Mapping[str, Any]) -> None:
         """Write an out-of-band record (e.g. a run summary) to the file."""
@@ -344,6 +352,18 @@ class JsonlTracer(Tracer):
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+class _TaggedJsonl(Tracer):
+    """What :meth:`JsonlTracer.tagged` attaches: the tracer's lines, each
+    with the tag fields added."""
+
+    def __init__(self, jsonl: JsonlTracer, tags: dict[str, Any]) -> None:
+        self._jsonl = jsonl
+        self._tags = tags
+
+    def on_event(self, event: ev.TraceEvent) -> None:
+        self._jsonl.on_event(event, self._tags)
 
 
 class _LineStats:

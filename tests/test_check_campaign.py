@@ -9,8 +9,8 @@ import repro.check.campaign as campaign
 import repro.workloads.table as table
 from repro.check import (HistoryRecorder, LeasePropertyTracer,
                          PropertyViolation, ReplayStrategy, TARGETS,
-                         load_repro, replay_repro, resolve_target,
-                         run_campaign, run_once, shrink_failure)
+                         replay_repro, resolve_target, run_campaign,
+                         run_once, shrink_failure)
 from repro.check.campaign import _ddmin
 from repro.core.isa import CAS, Lease, Load, Release
 from repro.errors import ReproError
@@ -170,7 +170,7 @@ def test_injected_bug_is_caught_and_replayable(broken_treiber, tmp_path):
     # The repro round-trips through JSON and reproduces the failure.
     path = tmp_path / "repro.json"
     path.write_text(json.dumps(repro))
-    out = replay_repro(load_repro(str(path)))
+    out = replay_repro(json.loads(path.read_text()))
     assert not out.ok and out.kind == "linearizability"
 
 
@@ -215,15 +215,6 @@ def test_shrink_failure_returns_empty_when_baseline_fails(broken_treiber):
     shrunk, runs = shrink_failure(target, variant, cfg, {100: 2, 200: 3})
     assert shrunk == {}          # the perturbation was never the trigger
     assert runs == 1
-
-
-# -- load_repro validation ----------------------------------------------------
-
-def test_load_repro_rejects_wrong_format(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format": "something-else"}))
-    with pytest.raises(ReproError, match="not a repro-check/1"):
-        load_repro(str(path))
 
 
 # -- lease property tracer ----------------------------------------------------

@@ -203,6 +203,24 @@ def test_trace_cluster_experiment_reconciles(tmp_path, capsys):
     assert "MISMATCH" not in out
 
 
+def test_trace_cluster_lines_name_their_node(tmp_path, capsys):
+    """Nodes number their cores, lines and threads from 0 alike, so every
+    line from a node's bus carries the node; inter-node messages name
+    theirs as src and dst."""
+    import json
+    path = tmp_path / "t.jsonl"
+    assert main(["trace", "cluster_shards", "--threads", "2",
+                 "--out", str(path)]) == 0
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    per_node = [d for d in lines if d["kind"] != "run_summary"
+                and not d["kind"].startswith(("node_msg", "paxos_",
+                                              "cluster_"))]
+    assert {d["kind"] for d in per_node} >= {"l1_miss", "lease_started",
+                                             "op_completed"}
+    assert all("node" in d for d in per_node)
+    assert {d["node"] for d in per_node} == {0, 1}
+
+
 @pytest.mark.parametrize("flag", ["--heatmap", "--invariants"])
 def test_trace_refuses_machine_sinks_on_cluster(flag, tmp_path, capsys):
     out = tmp_path / "t.jsonl"
@@ -448,6 +466,32 @@ def test_run_resume_restores_matching_cell(tmp_path, capsys):
     ckpt = sorted(ckpt_dir.glob("ckpt_*_c*.json"))[0]
     assert main(argv + ["--resume", str(ckpt)]) == 0
     assert "restored" in capsys.readouterr().out
+
+
+def test_cluster_run_checkpoints_resumes_and_warm_starts(tmp_path, capsys):
+    """A cluster experiment takes the checkpoint flags as a machine one
+    does: sliced, warm-started and resumed, it prints the plain run's
+    tables."""
+    ckpt_dir = tmp_path / "ckpts"
+    argv = ["run", "cluster_shards", "--threads", "2,4"]
+
+    def run(*extra: str, note: str | None = None) -> list[str]:
+        """The run's output lines, less the ``note`` lines it must print."""
+        assert main(argv + list(extra)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if note is None:
+            return lines
+        assert any(line.startswith(note) for line in lines)
+        return [line for line in lines if not line.startswith(note)]
+
+    plain = run()
+    assert run("--checkpoint-every", "1500", "--checkpoint-dir",
+               str(ckpt_dir), note="saved ") == plain
+    files = sorted(ckpt_dir.glob("ckpt_*_c*.json"))
+    assert files, "no checkpoint files were written"
+    assert run("--warm-start", "--checkpoint-dir", str(ckpt_dir),
+               note="restored ") == plain
+    assert run("--resume", str(files[0]), note="restored ") == plain
 
 
 def test_run_resume_refuses_mismatched_config(tmp_path, capsys):

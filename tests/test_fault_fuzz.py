@@ -19,8 +19,8 @@ from conftest import make_machine
 import repro.check.campaign as campaign
 from repro import (InvariantTracer, Machine, MachineConfig, MultiLease,
                    ReleaseAll, Store, Work)
-from repro.check import (PctStrategy, RandomStrategy, load_repro,
-                         replay_repro, run_campaign)
+from repro.check import (PctStrategy, RandomStrategy, replay_repro,
+                         run_campaign)
 
 #: A spec exercising every hook at rates high enough to fire in short runs.
 FUZZ_SPEC = "net_jitter:p=0.02,max=120;dir_nack:p=0.01;timer_skew:±8"
@@ -58,7 +58,7 @@ def test_fault_repro_file_round_trips(tmp_path, monkeypatch):
 
     path = tmp_path / "repro.json"
     path.write_text(json.dumps(rep.repro))
-    out = replay_repro(load_repro(str(path)))
+    out = replay_repro(json.loads(path.read_text()))
     assert not out.ok and out.kind == "linearizability"
 
 

@@ -87,7 +87,7 @@ def test_quiescence_beats_until_horizon():
     sim = Simulator()
     done = []
     sim.quiescent = lambda: bool(done)
-    sim.at(5, lambda: done.append(True))
+    sim.at(5, lambda: (done.append(True), sim.notify_quiescence()))
     sim.run(until=100)
     assert sim.now == 5
 
@@ -183,7 +183,8 @@ def test_quiescence_stops_early():
     seen = []
     done = []
     sim.quiescent = lambda: bool(done)
-    sim.at(1, lambda: (seen.append(1), done.append(True)))
+    sim.at(1, lambda: (seen.append(1), done.append(True),
+                       sim.notify_quiescence()))
     sim.at(1000, lambda: seen.append(2))   # never fires: quiescent first
     sim.run()
     assert seen == [1]
@@ -230,7 +231,7 @@ def test_events_processed_counter():
 
 
 # ---------------------------------------------------------------------------
-# Machine-level run loop: quiescence notify mode and run(until) slicing
+# Machine-level run loop: run(until) slicing
 # ---------------------------------------------------------------------------
 
 def _storm(cores: int, rounds: int) -> Machine:
@@ -246,26 +247,6 @@ def _storm(cores: int, rounds: int) -> Machine:
     for _ in range(cores):
         m.add_thread(body)
     return m
-
-
-def test_quiescence_notify_matches_polling():
-    """A machine (notify mode) and the same machine forced back to the
-    per-event poll stop at the same cycle with the same event count."""
-    m_notify = _storm(3, 5)
-    m_poll = _storm(3, 5)
-    # Forcing the poll-mode default back on must not change the outcome,
-    # only the number of predicate evaluations.
-    m_poll.sim._poll_quiescence = True
-    assert m_notify.run() == m_poll.run()
-    assert m_notify.sim.events_processed == m_poll.sim.events_processed
-    assert m_notify.result("q") == m_poll.result("q")
-
-
-def test_machine_uses_notify_mode():
-    m = _storm(4, 2)
-    assert m.sim._poll_quiescence is False
-    m.run()
-    assert m.idle_cores == m.config.num_cores
 
 
 def test_incremental_machine_until_equals_single_run():
