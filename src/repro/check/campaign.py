@@ -396,8 +396,6 @@ def run_once(target: CheckTarget | ClusterTarget, variant: str,
     try:
         if restore_from is not None:
             owner.load_state(restore_from)
-        if every:
-            owner.enable_checkpointing()
         run_sliced(owner, every, lambda: checkpoints.append(
             (sim.queue.next_seq, owner.state_dict())))
         trial.settle()

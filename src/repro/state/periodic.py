@@ -46,12 +46,15 @@ __all__ = ["CheckpointPolicy", "run_sliced"]
 
 def run_sliced(owner: "Machine | Cluster", every: Optional[int],
                save: Callable[[], None]) -> None:
-    """Run ``owner`` to the end.  With ``every``, run it in
-    ``every``-cycle slices and call ``save()`` after each slice that
-    leaves work to do: one that ends neither quiescent nor with nothing
-    left queued.  The one loop that cuts runs, for the CLI's periodic
-    checkpoints and for the shrinker's prefix checkpoints alike."""
+    """Run ``owner`` to the end.  With ``every``, record its resume log
+    and run it in ``every``-cycle slices, calling ``save()`` after each
+    slice that leaves work to do: one that ends neither quiescent nor
+    with nothing left queued.  The one loop that cuts runs, for the
+    CLI's periodic checkpoints and the shrinker's prefix checkpoints
+    alike."""
     sim = owner.sim
+    if every:
+        owner.enable_checkpointing()    # a no-op on a restored owner
     while every and not sim.quiescent():
         owner.run(until=sim.now + every)
         if sim.quiescent() or sim.queue.peek_time() is None:
@@ -95,7 +98,6 @@ class CheckpointPolicy:
         from . import hooks
 
         cell = hooks.cell
-        owner.enable_checkpointing()
         if not self._try_resume(owner, cell) and self.warm_start:
             self._try_warm_start(owner, cell)
 
